@@ -73,6 +73,14 @@ let find_ns results name =
 
 let pct f = 100.0 *. f
 
+(* No-op insn, mem and block subscribers: a machine with these attached
+   translates instrumented µops — the [hooked] arm of the digest gates. *)
+let attach_noop_hooks m =
+  let h = m.Machine.hooks in
+  ignore (S4e_cpu.Hooks.on_insn h (fun _ _ -> ()) : S4e_cpu.Hooks.id);
+  ignore (S4e_cpu.Hooks.on_mem h ignore : S4e_cpu.Hooks.id);
+  ignore (S4e_cpu.Hooks.on_block h (fun _ _ -> ()) : S4e_cpu.Hooks.id)
+
 (* ------------------------------------------------------------------ *)
 (* E1: suite coverage table                                             *)
 
@@ -250,51 +258,63 @@ let e5 () =
     | Ok a -> a
     | Error e -> failwith (S4e_wcet.Analysis.describe_error e)
   in
-  let run_plain () =
-    let m = Machine.create () in
-    S4e_asm.Program.load_machine p m;
-    ignore (Machine.run m ~fuel:100_000)
-  in
-  let run_with_coverage () =
-    let m = Machine.create () in
+  (* each client attaches before the program loads and detaches after
+     the run; [run] returns the machine for the digest gate *)
+  let with_coverage m =
     let c = S4e_coverage.Collector.attach m () in
-    S4e_asm.Program.load_machine p m;
-    ignore (Machine.run m ~fuel:100_000);
-    S4e_coverage.Collector.detach m c
+    fun () -> S4e_coverage.Collector.detach m c
   in
-  let run_with_qta () =
-    let m = Machine.create () in
+  let with_qta m =
     let q = S4e_wcet.Qta.attach m acfg in
-    S4e_asm.Program.load_machine p m;
-    ignore (Machine.run m ~fuel:100_000);
-    S4e_wcet.Qta.detach m q
+    fun () -> S4e_wcet.Qta.detach m q
   in
-  let run_with_both () =
+  let configs =
+    [ ("plain", fun _ () -> ());
+      ("+coverage", with_coverage);
+      ("+qta", with_qta);
+      ("+both", fun m ->
+          let dc = with_coverage m in
+          let dq = with_qta m in
+          fun () -> dq (); dc ()) ]
+  in
+  let run attach () =
     let m = Machine.create () in
-    let c = S4e_coverage.Collector.attach m () in
-    let q = S4e_wcet.Qta.attach m acfg in
+    let detach = attach m in
     S4e_asm.Program.load_machine p m;
     ignore (Machine.run m ~fuel:100_000);
-    S4e_wcet.Qta.detach m q;
-    S4e_coverage.Collector.detach m c
+    detach ();
+    m
   in
+  (* digest gate first: the clients observe, they must not perturb *)
+  let d_plain =
+    Machine.state_digest ~include_time:true (run (fun _ () -> ()) ())
+  in
+  List.iter
+    (fun (name, attach) ->
+      if Machine.state_digest ~include_time:true (run attach ()) <> d_plain
+      then failwith (Printf.sprintf "E5: %s digest mismatch" name))
+    configs;
   let tests =
-    [ Test.make ~name:"plain" (Staged.stage run_plain);
-      Test.make ~name:"+coverage" (Staged.stage run_with_coverage);
-      Test.make ~name:"+qta" (Staged.stage run_with_qta);
-      Test.make ~name:"+both" (Staged.stage run_with_both) ]
+    List.map
+      (fun (name, attach) ->
+        Test.make ~name (Staged.stage (fun () -> ignore (run attach ()))))
+      configs
   in
   let results = benchmark_ns tests in
   let plain = find_ns results "plain" in
   Printf.printf "%-12s %12s %10s\n" "config" "ms/run" "slowdown";
   List.iter
-    (fun name ->
+    (fun (name, _) ->
       let ns = find_ns results name in
-      Printf.printf "%-12s %12.2f %9.2fx\n" name (ns /. 1e6) (ns /. plain))
-    [ "plain"; "+coverage"; "+qta"; "+both" ];
+      Printf.printf "%-12s %12.2f %9.2fx\n" name (ns /. 1e6) (ns /. plain);
+      record ~exp:"e5" ~name:(name ^ "-ms") ~value:(ns /. 1e6) ~unit_:"ms";
+      record ~exp:"e5" ~name:(name ^ "-slowdown") ~value:(ns /. plain)
+        ~unit_:"ratio")
+    configs;
   Printf.printf
     "(the QTA tool demo's point: version-independent instrumentation at \
-     modest slowdown)\n"
+     modest slowdown; every client run digest-identical to plain — \
+     asserted above)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E6: BMI speedups                                                     *)
@@ -823,18 +843,15 @@ let e12 () =
      outcomes stay bit-identical either way)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E13: closure-lowered blocks, chaining, hoisted overheads             *)
+(* E13: closure-lowered blocks, chaining, compiled-in instrumentation   *)
 
 let e13 () =
   section "E13"
-    "closure-lowered translation blocks: lowering, chaining, batching";
+    "closure-lowered translation blocks: chaining and hook cost";
   let fuel = 1_000_000 in
   (* superblocks pinned off in every arm: this experiment isolates the
-     lowering and chaining axes; the trace layer on top is E16's *)
-  let generic_cfg =
-    { Machine.default_config with
-      Machine.lower_blocks = false; superblocks = false }
-  in
+     chaining axis and the cost of instrumented µops; the trace layer on
+     top is E16's *)
   let lowered_cfg =
     { Machine.default_config with
       Machine.chain_blocks = false; superblocks = false }
@@ -842,8 +859,22 @@ let e13 () =
   let chained_cfg =
     { Machine.default_config with Machine.superblocks = false }
   in
-  let finish p config =
+  (* hook-cost arms: the chained engine with one no-op subscriber of a
+     kind, or an armed recorder — each runs instrumented µops *)
+  let arms =
+    [ ("+insn", fun m ->
+          ignore
+            (S4e_cpu.Hooks.on_insn m.Machine.hooks (fun _ _ -> ())
+              : S4e_cpu.Hooks.id));
+      ("+mem", fun m ->
+          ignore (S4e_cpu.Hooks.on_mem m.Machine.hooks ignore : S4e_cpu.Hooks.id));
+      ("+rec", fun m ->
+          Machine.set_recorder m
+            (Some (S4e_obs.Flight_recorder.create ()))) ]
+  in
+  let finish ?(instrument = ignore) p config =
     let m = Machine.create ~config () in
+    instrument m;
     S4e_asm.Program.load_machine p m;
     ignore (Machine.run m ~fuel);
     m
@@ -868,35 +899,41 @@ let e13 () =
       Workloads.matmul; Workloads.crc32 ]
     |> List.map (fun w -> (w.Workloads.w_name, Workloads.program w))
   in
-  Printf.printf "%-10s %10s %9s %9s %9s %9s %7s\n" "workload" "instrs"
-    "generic" "lowered" "chained" "chain%" "speedup";
-  Printf.printf "%-10s %10s %9s %9s %9s %9s %7s\n" "" "" "(MIPS)" "(MIPS)"
-    "(MIPS)" "" "";
-  let ratios =
+  Printf.printf "%-10s %10s %9s %9s %7s %7s %9s %9s %9s\n" "workload"
+    "instrs" "unchained" "chained" "chain%" "speedup" "+insn" "+mem" "+rec";
+  Printf.printf "%-10s %10s %9s %9s %7s %7s %9s %9s %9s\n" "" "" "(MIPS)"
+    "(MIPS)" "" "" "(MIPS)" "(MIPS)" "(MIPS)";
+  let rows =
     List.map
       (fun (name, p) ->
-        (* correctness gate first: every engine must agree bit-for-bit
-           (including cycle counters and mtime) before we time anything *)
-        let m_ref = finish p generic_cfg in
+        (* correctness gate first: every arm must agree bit-for-bit
+           (including cycle counters and mtime) with the plain chained
+           run before we time anything *)
+        let m_ref = finish p chained_cfg in
         let d_ref = Machine.state_digest ~include_time:true m_ref in
+        let gate ename m =
+          if Machine.state_digest ~include_time:true m <> d_ref then
+            failwith
+              (Printf.sprintf "E13: %s digest mismatch on %s" ename name)
+        in
+        gate "unchained" (finish p lowered_cfg);
+        gate "single-step"
+          (finish p
+             { Machine.default_config with Machine.use_tb_cache = false });
         List.iter
-          (fun (ename, config) ->
-            let m = finish p config in
-            if Machine.state_digest ~include_time:true m <> d_ref then
-              failwith
-                (Printf.sprintf "E13: %s digest mismatch on %s" ename name))
-          [ ("lowered", lowered_cfg); ("chained", chained_cfg);
-            ("single-step",
-             { Machine.default_config with Machine.use_tb_cache = false }) ];
+          (fun (aname, instrument) ->
+            gate aname (finish ~instrument p chained_cfg))
+          arms;
         let n1 = Machine.instret m_ref in
         (* steady-state throughput: re-run the image on the same machine
            (reset keeps memory and the warm TB cache) until each timed
            sample covers >= 200k instructions.  Execution is
-           deterministic and digest-identical across engines, so every
-           engine runs the exact same instruction sequence. *)
+           deterministic and digest-identical across arms, so every arm
+           runs the exact same instruction sequence. *)
         let reps = max 1 (200_000 / max n1 1) in
-        let run config () =
+        let run ?(instrument = ignore) config () =
           let m = Machine.create ~config () in
+          instrument m;
           S4e_asm.Program.load_machine p m;
           let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
           ignore (Machine.run m ~fuel);
@@ -906,9 +943,9 @@ let e13 () =
           done;
           m
         in
-        (* instruction total over the rep sequence (identical for every
-           engine; reps after the first may differ slightly from the
-           first because the image's data segment carries over) *)
+        (* instruction total over the rep sequence (reps after the first
+           may differ slightly from the first because the image's data
+           segment carries over) *)
         let n =
           let m = Machine.create ~config:chained_cfg () in
           S4e_asm.Program.load_machine p m;
@@ -924,9 +961,14 @@ let e13 () =
           !tot
         in
         let mips t = float_of_int n /. t /. 1e6 in
-        let tg = time (fun () -> ignore (run generic_cfg ())) in
         let tl = time (fun () -> ignore (run lowered_cfg ())) in
         let tc = time (fun () -> ignore (run chained_cfg ())) in
+        let t_arms =
+          List.map
+            (fun (aname, instrument) ->
+              (aname, time (fun () -> ignore (run ~instrument chained_cfg ()))))
+            arms
+        in
         (* chain hit rate over the same rep sequence *)
         let mc = run chained_cfg () in
         let ts = S4e_cpu.Tb_cache.stats mc.Machine.tb in
@@ -939,33 +981,52 @@ let e13 () =
           if dispatches = 0 then 0.0
           else pct (float_of_int chained_hits /. float_of_int dispatches)
         in
-        let speedup = tg /. tc in
-        Printf.printf "%-10s %10d %9.2f %9.2f %9.2f %8.1f%% %6.2fx\n" name n
-          (mips tg) (mips tl) (mips tc) chain_pct speedup;
-        record ~exp:"e13" ~name:(name ^ "/generic-mips") ~value:(mips tg)
-          ~unit_:"MIPS";
+        let speedup = tl /. tc in
+        Printf.printf "%-10s %10d %9.2f %9.2f %6.1f%% %6.2fx" name n
+          (mips tl) (mips tc) chain_pct speedup;
+        List.iter (fun (_, t) -> Printf.printf " %9.2f" (mips t)) t_arms;
+        print_newline ();
         record ~exp:"e13" ~name:(name ^ "/lowered-mips") ~value:(mips tl)
           ~unit_:"MIPS";
         record ~exp:"e13" ~name:(name ^ "/chained-mips") ~value:(mips tc)
           ~unit_:"MIPS";
-        record ~exp:"e13" ~name:(name ^ "/speedup") ~value:speedup
+        record ~exp:"e13" ~name:(name ^ "/chain-speedup") ~value:speedup
           ~unit_:"ratio";
-        speedup)
+        List.iter
+          (fun (aname, t) ->
+            record ~exp:"e13"
+              ~name:(Printf.sprintf "%s/%s-mips" name aname)
+              ~value:(mips t) ~unit_:"MIPS";
+            record ~exp:"e13"
+              ~name:(Printf.sprintf "%s/%s-slowdown" name aname)
+              ~value:(t /. tc) ~unit_:"ratio")
+          t_arms;
+        (speedup, List.map (fun (_, t) -> t /. tc) t_arms))
       programs
   in
-  let geomean =
-    exp (List.fold_left (fun a r -> a +. log r) 0.0 ratios
-         /. float_of_int (List.length ratios))
+  let geomean rs =
+    exp (List.fold_left (fun a r -> a +. log r) 0.0 rs
+         /. float_of_int (List.length rs))
   in
-  record ~exp:"e13" ~name:"geomean-speedup" ~value:geomean ~unit_:"ratio";
-  Printf.printf
-    "geomean speedup (lowered+chained over the generic TB interpreter): \
-     %.2fx\n"
-    geomean;
+  let chain = geomean (List.map fst rows) in
+  record ~exp:"e13" ~name:"geomean-chain-speedup" ~value:chain
+    ~unit_:"ratio";
+  Printf.printf "geomean speedup (chained over unchained blocks): %.2fx\n"
+    chain;
+  List.iteri
+    (fun k (aname, _) ->
+      let g = geomean (List.map (fun (_, sl) -> List.nth sl k) rows) in
+      record ~exp:"e13"
+        ~name:(Printf.sprintf "geomean-%s-slowdown" aname)
+        ~value:g ~unit_:"ratio";
+      Printf.printf "geomean slowdown of %s over plain chained: %.2fx\n"
+        aname g)
+    arms;
   Printf.printf
     "(dispatch, timing, and hazard lookups hoisted to translate time; \
-     digest-identical to the generic engine on every workload — asserted \
-     above)\n"
+     hooks and the recorder compiled into the µops as a per-instruction \
+     wrapper; every arm digest-identical to the plain chained run and to \
+     single-step — asserted above)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E14: telemetry overhead of the unified observability layer           *)
@@ -1125,8 +1186,9 @@ let e15 () =
       (fun (name, p) ->
         (* correctness gate before timing: TLB on and off must be
            digest-identical on every engine *)
-        let finish config =
+        let finish ?(instrument = ignore) config =
           let m = Machine.create ~config () in
+          instrument m;
           S4e_asm.Program.load_machine p m;
           ignore (Machine.run m ~fuel);
           m
@@ -1134,18 +1196,18 @@ let e15 () =
         let m_ref = finish slow_cfg in
         let d_ref = Machine.state_digest ~include_time:true m_ref in
         List.iter
-          (fun (ename, config) ->
-            let m = finish config in
+          (fun (ename, config, instrument) ->
+            let m = finish ~instrument config in
             if Machine.state_digest ~include_time:true m <> d_ref then
               failwith
                 (Printf.sprintf "E15: %s digest mismatch on %s" ename name))
-          [ ("tlb-on", tlb_cfg);
+          [ ("tlb-on", tlb_cfg, ignore);
             ("tlb-on unchained",
-             { tlb_cfg with Machine.chain_blocks = false });
-            ("tlb-on generic-tb",
-             { tlb_cfg with Machine.lower_blocks = false });
+             { tlb_cfg with Machine.chain_blocks = false }, ignore);
+            ("tlb-on hooked", tlb_cfg, attach_noop_hooks);
+            ("tlb-off hooked", slow_cfg, attach_noop_hooks);
             ("tlb-on single-step",
-             { tlb_cfg with Machine.use_tb_cache = false }) ];
+             { tlb_cfg with Machine.use_tb_cache = false }, ignore) ];
         let n1 = Machine.instret m_ref in
         (* steady-state rep sizing, as in E13 *)
         let reps = max 1 (200_000 / max n1 1) in
@@ -1250,8 +1312,9 @@ let e16 () =
         (* correctness gate before timing: traces on must be
            digest-identical (cycles and mtime included) to every other
            engine configuration *)
-        let finish config =
+        let finish ?(instrument = ignore) config =
           let m = Machine.create ~config () in
+          instrument m;
           S4e_asm.Program.load_machine p m;
           ignore (Machine.run m ~fuel);
           m
@@ -1259,16 +1322,19 @@ let e16 () =
         let m_ref = finish on_cfg in
         let d_ref = Machine.state_digest ~include_time:true m_ref in
         List.iter
-          (fun (ename, config) ->
-            let m = finish config in
+          (fun (ename, config, instrument) ->
+            let m = finish ~instrument config in
             if Machine.state_digest ~include_time:true m <> d_ref then
               failwith
                 (Printf.sprintf "E16: %s digest mismatch on %s" ename name))
-          [ ("sb-off", off_cfg);
-            ("sb-off tlb-off", { off_cfg with Machine.mem_tlb = false });
-            ("unchained", { off_cfg with Machine.chain_blocks = false });
-            ("generic-tb", { off_cfg with Machine.lower_blocks = false });
-            ("single-step", { off_cfg with Machine.use_tb_cache = false }) ];
+          [ ("sb-off", off_cfg, ignore);
+            ("sb-off tlb-off", { off_cfg with Machine.mem_tlb = false },
+             ignore);
+            ("unchained", { off_cfg with Machine.chain_blocks = false },
+             ignore);
+            ("hooked", on_cfg, attach_noop_hooks);
+            ("single-step", { off_cfg with Machine.use_tb_cache = false },
+             ignore) ];
         let n1 = Machine.instret m_ref in
         (* steady-state rep sizing, as in E13: reset keeps RAM and the
            warm TB cache — and with it the promoted traces *)
@@ -1386,8 +1452,9 @@ let e17 () =
         (* correctness gate before timing: the device plane must be
            digest-identical (cycles and mtime included) on every
            engine configuration *)
-        let finish config =
+        let finish ?(instrument = ignore) config =
           let m = Machine.create ~config () in
+          instrument m;
           S4e_asm.Program.load_machine p m;
           ignore (Machine.run m ~fuel);
           m
@@ -1396,16 +1463,19 @@ let e17 () =
         let d_ref = Machine.state_digest ~include_time:true m_ref in
         let off_cfg = { on_cfg with Machine.superblocks = false } in
         List.iter
-          (fun (ename, config) ->
-            let m = finish config in
+          (fun (ename, config, instrument) ->
+            let m = finish ~instrument config in
             if Machine.state_digest ~include_time:true m <> d_ref then
               failwith
                 (Printf.sprintf "E17: %s digest mismatch on %s" ename name))
-          [ ("sb-off", off_cfg);
-            ("sb-off tlb-off", { off_cfg with Machine.mem_tlb = false });
-            ("unchained", { off_cfg with Machine.chain_blocks = false });
-            ("generic-tb", { off_cfg with Machine.lower_blocks = false });
-            ("single-step", { off_cfg with Machine.use_tb_cache = false }) ];
+          [ ("sb-off", off_cfg, ignore);
+            ("sb-off tlb-off", { off_cfg with Machine.mem_tlb = false },
+             ignore);
+            ("unchained", { off_cfg with Machine.chain_blocks = false },
+             ignore);
+            ("hooked", on_cfg, attach_noop_hooks);
+            ("single-step", { off_cfg with Machine.use_tb_cache = false },
+             ignore) ];
         let n1 = Machine.instret m_ref in
         let reps = max 1 (400_000 / max n1 1) in
         let run () =
@@ -1520,8 +1590,7 @@ let e18 () =
   let module Obs = S4e_obs in
   let fuel = 1_000_000 in
   let cfg = Machine.default_config in
-  (* min-of-5 wall clock, as in E14: the unarmed delta in particular is
-     a single pointer test per block dispatch *)
+  (* min-of-5 wall clock, as in E14 *)
   let time f =
     let once () =
       let t0 = Unix.gettimeofday () in
@@ -1593,11 +1662,11 @@ let e18 () =
         ~unit_:"%")
     programs;
   Printf.printf
-    "(unarmed runs pay one recorder-pointer test per block dispatch — \
-     the plain column IS the unarmed fast path, gated against E13's \
-     baseline by trend tracking; armed runs leave the superblock path \
-     and capture pc/opcode/writeback/effective-address per retire, \
-     digest-identical — asserted above)\n"
+    "(unarmed runs translate no recorder code — the plain column IS \
+     the unarmed fast path, gated against E13's baseline by trend \
+     tracking; armed runs translate instrumented µops, leave the \
+     superblock path and capture pc/opcode/writeback/effective-address \
+     per retire, digest-identical — asserted above)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E19: SMP machine — determinism gates and scaling                     *)
@@ -1610,20 +1679,20 @@ let e19 () =
   let module Torture = S4e_torture.Torture in
   let sb_off c = { c with Machine.superblocks = false } in
   let engines =
-    [ ("lowered", sb_off Machine.default_config);
+    [ ("lowered", sb_off Machine.default_config, ignore);
       ("unchained", sb_off { Machine.default_config with
-                             Machine.chain_blocks = false });
-      ("generic-tb", sb_off { Machine.default_config with
-                              Machine.lower_blocks = false });
+                             Machine.chain_blocks = false }, ignore);
+      ("hooked", Machine.default_config, attach_noop_hooks);
       ("single-step", sb_off { Machine.default_config with
-                               Machine.use_tb_cache = false });
+                               Machine.use_tb_cache = false }, ignore);
       ("tlb-off", sb_off { Machine.default_config with
-                           Machine.mem_tlb = false });
-      ("superblocks", Machine.default_config) ]
+                           Machine.mem_tlb = false }, ignore);
+      ("superblocks", Machine.default_config, ignore) ]
   in
-  let digest_of ?(include_time = true) ?(include_instret = true) config p
-      ~fuel =
+  let digest_of ?(include_time = true) ?(include_instret = true)
+      ?(instrument = ignore) config p ~fuel =
     let m = Machine.create ~config () in
+    instrument m;
     S4e_asm.Program.load_machine p m;
     (match Machine.run m ~fuel with
     | Machine.Exited _ -> ()
@@ -1645,8 +1714,8 @@ let e19 () =
   let anchor = Torture.generate anchor_cfg in
   let anchor_fuel = Torture.fuel_bound anchor_cfg in
   List.iter
-    (fun (name, config) ->
-      let d, _ = digest_of config anchor ~fuel:anchor_fuel in
+    (fun (name, config, instrument) ->
+      let d, _ = digest_of ~instrument config anchor ~fuel:anchor_fuel in
       if d <> golden then
         failwith
           (Printf.sprintf "E19: single-hart digest drift on %s: %s <> %s"
@@ -1669,16 +1738,16 @@ let e19 () =
             { config with Machine.harts; Machine.hart_slice = slice }
           in
           let reference, _ =
-            digest_of (with_harts (snd (List.hd engines))) p ~fuel
+            digest_of (with_harts Machine.default_config) p ~fuel
           in
           List.iter
-            (fun (name, config) ->
-              let d, _ = digest_of (with_harts config) p ~fuel in
+            (fun (name, config, instrument) ->
+              let d, _ = digest_of ~instrument (with_harts config) p ~fuel in
               if d <> reference then
                 failwith
                   (Printf.sprintf "E19: %s@%d harts: engine %s diverges"
                      wname harts name))
-            (List.tl engines);
+            engines;
           let relaxed = String.length wname >= 8
                         && String.sub wname 0 8 = "smp-spin" in
           let rd slice =

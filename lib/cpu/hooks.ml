@@ -62,9 +62,6 @@ let has_insn t = t.insn <> []
 let has_mem t = t.mem <> []
 let has_block t = t.block <> []
 
-let is_empty t =
-  t.insn == [] && t.mem == [] && t.block == [] && t.trap == []
-
 let fire_insn t pc i = List.iter (fun (_, f) -> f pc i) t.insn
 let fire_mem t e = List.iter (fun (_, f) -> f e) t.mem
 let fire_block t pc n = List.iter (fun (_, f) -> f pc n) t.block

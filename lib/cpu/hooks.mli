@@ -7,9 +7,16 @@
     internal emulator structures, mirroring how QEMU's stable plugin API
     decouples tools from TCG internals.
 
-    Registration returns an id usable with {!unregister}; a hook set
-    with no subscribers adds only a null check per event to the hot
-    loop. *)
+    Registration returns an id usable with {!unregister}.  Like
+    QEMU's plugin callbacks, the instrumentation is compiled into the
+    translated code: while any insn, mem or block subscriber exists,
+    the machine translates blocks into instrumented µops (a wrapper per
+    instruction that fires the hooks), and it drops back to plain µops
+    once the last one unregisters.  The switch happens at the start of
+    the next {!Machine.run}, which drops the cached µops; a
+    hook registered in the middle of an uninstrumented run (from a trap
+    hook, say) therefore sees events from the next run on.  Trap
+    subscribers alone never need instrumented code. *)
 
 type word = S4e_bits.Bits.word
 
@@ -49,12 +56,6 @@ val clear : t -> unit
 val has_insn : t -> bool
 val has_mem : t -> bool
 val has_block : t -> bool
-
-val is_empty : t -> bool
-(** No subscribers of any kind.  The machine uses this to select the
-    lowered (hook-free) translation-block path; any registration makes
-    it fall back to the generic path, so new subscribers see every
-    subsequent event. *)
 
 val fire_insn : t -> word -> S4e_isa.Instr.t -> unit
 val fire_mem : t -> mem_event -> unit

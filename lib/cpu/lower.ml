@@ -10,7 +10,7 @@ type word = int
    in the current block to [state.cycle] and the CLINT; µops that can
    observe time (CSR accesses, any bus access below [lx_dev_limit],
    i.e. into device space) call it first so batched ticking is
-   indistinguishable from the generic per-instruction ticking. *)
+   indistinguishable from the single-step per-instruction ticking. *)
 type ctx = {
   lx_state : Arch_state.t;
   lx_bus : Bus.t;
@@ -286,7 +286,11 @@ let lower_instr ctx ~pc ~size instr =
     u_load_dest_mask = Instr.load_dest_mask instr;
     u_wfi = (instr = Wfi); u_fence_i = (instr = Fence_i); u_exec = exec }
 
-let lower_entry ctx (e : Tb_cache.entry) =
-  Array.map
-    (fun (pc, size, instr) -> lower_instr ctx ~pc ~size instr)
+let lower_entry ?wrap ctx (e : Tb_cache.entry) =
+  Array.mapi
+    (fun k (pc, size, instr) ->
+      let u = lower_instr ctx ~pc ~size instr in
+      match wrap with
+      | None -> u
+      | Some w -> { u with Tb_cache.u_exec = w e k u.Tb_cache.u_exec })
     e.Tb_cache.instrs

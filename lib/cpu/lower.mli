@@ -1,9 +1,10 @@
 (** Translation-block lowering — compiles decoded instructions into
     µop closures.
 
-    Where the generic interpreter re-dispatches on the {!S4e_isa.Instr.t}
-    AST, re-matches the timing model, and re-derives hazard sources on
-    every execution, [lower_entry] does all of it once per translation:
+    Where the single-step interpreter ({!Exec.execute}) re-dispatches
+    on the {!S4e_isa.Instr.t} AST, re-matches the timing model, and
+    re-derives hazard sources on every execution, [lower_entry] does
+    all of it once per translation:
 
     - the executor dispatch (including sub-opcode selection, immediate
       sign-extension, and branch/jump target arithmetic) is resolved
@@ -11,10 +12,8 @@
     - the {!Timing_model} cost is precomputed for both branch outcomes;
     - the load-use hazard source set is baked into an int bitmask
       ({!S4e_isa.Instr.source_mask});
-    - hook dispatch is specialized away entirely — the machine only
-      runs lowered blocks while {!Hooks.is_empty} holds, falling back
-      to the generic path the moment a tracer / coverage / cache-model
-      / fault-monitor client registers.
+    - instrumentation (hooks, flight recorder) is compiled in as a
+      per-µop wrapper ({!lower_entry}), so plain µops carry none.
 
     Cycle charges are returned by each µop and batched by the machine;
     µops that can observe time (CSR accesses and device-space bus
@@ -49,4 +48,11 @@ val store_fn : S4e_mem.Bus.t -> S4e_isa.Instr.op_store -> word -> word -> unit
 val lower_instr :
   ctx -> pc:word -> size:int -> S4e_isa.Instr.t -> Tb_cache.uop
 
-val lower_entry : ctx -> Tb_cache.entry -> Tb_cache.uop array
+val lower_entry :
+  ?wrap:(Tb_cache.entry -> int -> (unit -> int) -> unit -> int) ->
+  ctx ->
+  Tb_cache.entry ->
+  Tb_cache.uop array
+(** Lowers every instruction of a block.  [wrap entry k exec] replaces
+    µop [k]'s closure [exec] with one that still executes instruction
+    [k] and returns its cycle charge (the machine's instrumentation). *)

@@ -11,12 +11,11 @@ type config = {
   timing : Timing_model.t;
   use_tb_cache : bool;
   decoder : decoder_kind;
-  lower_blocks : bool;
   chain_blocks : bool;
   mem_tlb : bool;
   superblocks : bool;
       (* promote hot chained paths into cross-block traces; requires
-         the lowered+chained engine to do anything *)
+         the chained TB engine to do anything *)
   device_plane : bool;
       (* attach the event-driven devices (DMA engine, vnet) and route
          the CLINT deadline through the event wheel; off reverts to the
@@ -32,7 +31,7 @@ type config = {
 let default_config =
   { isa = [ Isa_module.I; M; A; F; C; Zicsr; B ];
     timing = Timing_model.default; use_tb_cache = true;
-    decoder = Decodetree_decoder; lower_blocks = true; chain_blocks = true;
+    decoder = Decodetree_decoder; chain_blocks = true;
     mem_tlb = true; superblocks = true; device_plane = true;
     harts = 1; hart_slice = 1024 }
 
@@ -115,6 +114,10 @@ type t = {
   mutable recorder : S4e_obs.Flight_recorder.t option;
   mutable watchpoints : watchpoint array;
   mutable watch_trace : S4e_obs.Trace_events.t option;
+  mutable instrumented : bool;
+      (* translation generation: the cached µops carry the
+         instrumentation wrapper ([run_slice] keeps it in step with the
+         hooks and recorder) *)
 }
 
 exception Stop of stop_reason
@@ -266,7 +269,7 @@ let create ?(config = default_config) () =
   in
   let pending_ticks = ref 0 in
   (* Cross-hart store coherence, shared by every store notification
-     path (µop closures, generic interpreter, superblocks, DMA): any
+     path (µop closures, single-step interpreter, superblocks, DMA): any
      hart's store invalidates translated code on every hart and breaks
      other harts' LR reservations on the written word.  The writing
      hart's own reservation is left to the architectural SC/trap rules,
@@ -382,15 +385,15 @@ let create ?(config = default_config) () =
       last_load_mask = 0; pending_ticks; seg_idx; seg_base; fuel_left;
       exit_dirty; lower_ctx = h0.hx_lower; sb = None; harts; cur = 0;
       rr = 0; profiler = None; recorder = None; watchpoints = [||];
-      watch_trace = None }
+      watch_trace = None; instrumented = false }
   in
-  (* The superblock engine only runs where the lowered+chained engine
-     runs (chain-edge heat drives promotion), so don't even install the
+  (* The superblock engine only runs where the chained TB engine runs
+     (chain-edge heat drives promotion), so don't even install the
      invalidation hooks elsewhere.  Each hart gets its own trace engine
      over its own TB cache; the closures below only execute while their
      hart is current, so the [m.last_load_mask] alias is always
      theirs. *)
-  if config.superblocks && config.use_tb_cache && config.lower_blocks then begin
+  if config.superblocks && config.use_tb_cache then begin
     let timing = config.timing in
     Array.iter
       (fun h ->
@@ -721,11 +724,170 @@ let misaligned_pc t pc =
   if List.mem Isa_module.C t.config.isa then pc land 1 <> 0
   else pc land 3 <> 0
 
+(* ---------------- instrumentation ---------------- *)
+
+(* The recorded opcode word re-encodes the AST (compressed forms expand
+   to their 32-bit equivalent); never allowed to throw on the recording
+   path. *)
+let encode_word instr =
+  match Encode.encode instr with w -> w | exception _ -> 0
+
+(* Width in bytes of an instruction's data access; 0 for an instruction
+   that touches no data memory. *)
+let access_width = function
+  | Instr.Load ((LB | LBU), _, _, _) | Store (SB, _, _, _) -> 1
+  | Load ((LH | LHU), _, _, _) | Store (SH, _, _, _) -> 2
+  | Load (LW, _, _, _) | Store (SW, _, _, _) | Flw _ | Fsw _ | Lr _ | Sc _
+  | Amo _ ->
+      4
+  | _ -> 0
+
+(* The recorder's view of a data access, read before the instruction
+   executes (a load can clobber its own base register and SC/AMO their
+   source): the effective address, -1 when nothing is accessed, and the
+   stored datum. *)
+let pre_addr (st : Arch_state.t) instr =
+  let regs = st.Arch_state.regs in
+  match instr with
+  | Instr.Load (_, _, base, imm) | Store (_, _, base, imm)
+  | Flw (_, base, imm) | Fsw (_, base, imm) ->
+      S4e_bits.Bits.mask32 (regs.(base) + imm)
+  | Lr (_, rs1) | Sc (_, _, rs1) | Amo (_, _, _, rs1) -> regs.(rs1)
+  | _ -> -1
+
+let pre_value (st : Arch_state.t) instr =
+  let regs = st.Arch_state.regs in
+  match instr with
+  | Instr.Store (SW, src, _, _) | Sc (_, src, _) | Amo (_, _, src, _) ->
+      regs.(src)
+  | Store (SH, src, _, _) -> regs.(src) land 0xFFFF
+  | Store (SB, src, _, _) -> regs.(src) land 0xFF
+  | Fsw (fsrc, _, _) -> st.Arch_state.fregs.(fsrc)
+  | _ -> 0
+
+(* One retired instruction into the recorder, then the watchpoint
+   probes on its data access. *)
+let note_retire t r (st : Arch_state.t) ~pc ~op instr ~addr ~value =
+  let rd, rd_val =
+    match Instr.destination instr with
+    | Some d -> (d, st.Arch_state.regs.(d))
+    | None -> (
+        match Instr.fp_destination instr with
+        | Some f -> (32 + f, st.Arch_state.fregs.(f))
+        | None -> (-1, 0))
+  in
+  let width = access_width instr in
+  let store =
+    match instr with Instr.Store _ | Fsw _ | Sc _ | Amo _ -> true | _ -> false
+  in
+  (* the datum of a load is its post-extension writeback *)
+  let value = if addr >= 0 && (not store) && rd >= 0 then rd_val else value in
+  S4e_obs.Flight_recorder.retire r ~pc ~op ~rd ~rd_val ~addr ~width ~value
+    ~store;
+  let wps = t.watchpoints in
+  if addr >= 0 && Array.length wps > 0 then
+    for k = 0 to Array.length wps - 1 do
+      let w = Array.unsafe_get wps k in
+      if
+        addr < w.wp_hi
+        && addr + width > w.wp_lo
+        && (if store then w.wp_write else w.wp_read)
+      then begin
+        w.wp_hits <- w.wp_hits + 1;
+        S4e_obs.Flight_recorder.watch_hit r ~pc ~op ~addr ~width ~value
+          ~store;
+        match t.watch_trace with
+        | Some tr ->
+            S4e_obs.Trace_events.instant tr
+              ~args:
+                [ ("pc", Printf.sprintf "0x%08x" pc);
+                  ("addr", Printf.sprintf "0x%08x" addr);
+                  ("value", Printf.sprintf "0x%x" value);
+                  ("dir", if store then "w" else "r") ]
+              ~name:"watchpoint" ~cat:"watch" ~tid:0 ()
+        | None -> ()
+      end
+    done
+
+(* Insn hooks and recorder around one instruction's execution [exec];
+   [op] is the instruction's [encode_word]. *)
+let observed t st ~pc ~op instr exec =
+  Hooks.fire_insn t.hooks pc instr;
+  match t.recorder with
+  | None -> exec ()
+  | Some r ->
+      let addr = pre_addr st instr and value = pre_value st instr in
+      let c = exec () in
+      note_retire t r st ~pc ~op instr ~addr ~value;
+      c
+
+(* The data-access observer handed to [Exec.execute]: translated-code
+   invalidation on stores (what plain µops do inline), then the mem
+   hooks. *)
+let mem_observer t notify_store =
+  Some
+    (fun ev ->
+      if ev.Hooks.mem_is_store then notify_store ev.Hooks.mem_addr;
+      Hooks.fire_mem t.hooks ev)
+
+(* The per-µop wrapper of an instrumented translation
+   ([Lower.lower_entry ~wrap]).  It is built from machine-lifetime
+   state only — hook lists, recorder slot and watchpoints are read when
+   the µop runs — because translations outlive the [run] that made
+   them.  Per instruction: drain the batched time (hooks read exact
+   instret, cycle and mtime mid-block), fire the block hook (µop 0),
+   then run it [observed] like the single-step engine does.  While mem
+   hooks are subscribed, data-memory instructions execute through
+   [Exec.execute], so mem events keep the reference interpreter's order
+   and arguments; otherwise every instruction runs its plain µop. *)
+let instrument t (ctx : Lower.ctx) (e : Tb_cache.entry) k plain =
+  let st = ctx.Lower.lx_state and flush_time = ctx.Lower.lx_flush_time in
+  let pc, size, instr = e.Tb_cache.instrs.(k) in
+  let block_pc = e.Tb_cache.block_pc in
+  let block_len = if k = 0 then Array.length e.Tb_cache.instrs else 0 in
+  let op = encode_word instr in
+  let exec =
+    if access_width instr = 0 then plain
+    else begin
+      let on_mem = mem_observer t ctx.Lower.lx_notify_store in
+      let bus = ctx.Lower.lx_bus in
+      let cost = Timing_model.cost ctx.Lower.lx_timing instr ~taken:false in
+      fun () ->
+        if Hooks.has_mem t.hooks then begin
+          ignore (Exec.execute ?on_mem st bus ~size instr : bool);
+          cost
+        end
+        else plain ()
+    end
+  in
+  fun () ->
+    flush_time ();
+    if block_len > 0 then Hooks.fire_block t.hooks block_pc block_len;
+    observed t st ~pc ~op instr exec
+
+(* A change of instrumentation starts a new translation generation:
+   every hart's cached µops were lowered for the old one.  Decoded
+   blocks, chain links and superblock traces (compiled from the decoded
+   instructions, and run only uninstrumented) stay valid.  Trap
+   subscribers alone need no instrumented µops: [enter_exception] fires
+   them on every engine. *)
+let sync_generation t =
+  let h = t.hooks in
+  let want =
+    Hooks.has_insn h || Hooks.has_mem h || Hooks.has_block h
+    || t.recorder <> None
+  in
+  if want <> t.instrumented then begin
+    t.instrumented <- want;
+    Array.iter (fun h -> Tb_cache.drop_lowered h.hx_tb) t.harts
+  end
+
 (* Execute at most [fuel] instructions on the CURRENT hart.  This is
    the whole pre-SMP [run] — a single-hart machine calls it directly
    with the full fuel, so that path is unchanged; the SMP scheduler
    below feeds it one slice at a time. *)
 let run_slice t ~fuel =
+  sync_generation t;
   let state = t.state in
   let timing = t.config.timing in
   let compressed = List.mem Isa_module.C t.config.isa in
@@ -735,14 +897,6 @@ let run_slice t ~fuel =
   let pending = t.pending_ticks in
   (* drains batched cycles AND the segment's uncredited instret/fuel *)
   let flush_time = t.lower_ctx.Lower.lx_flush_time in
-  (* per-hart closure: invalidates every hart's translated code and
-     breaks other harts' reservations (plain single-TB notify on a
-     one-hart machine) *)
-  let notify_store = t.lower_ctx.Lower.lx_notify_store in
-  let on_mem ev =
-    if ev.Hooks.mem_is_store then notify_store ev.Hooks.mem_addr;
-    if Hooks.has_mem t.hooks then Hooks.fire_mem t.hooks ev
-  in
   (* Load-use hazard tracking: the destination of the previous
      instruction when it was a load, as a {!Instr.source_mask}-encoded
      bitmask (0 = no hazard window).  Lives on the machine so a run
@@ -758,112 +912,10 @@ let run_slice t ~fuel =
       | None -> exit_dirty := false
     end
   in
-  (* Hoisted like the profiler: an unrecorded run pays one pointer test
-     per block dispatch (and none at all on the superblock path). *)
-  let rcd = t.recorder in
-  (* Recorder scratch for the pre-execution capture of a memory access:
-     [Exec] and the µop closures compute effective addresses
-     internally, and a load can clobber its own base register, so the
-     address is recomputed from pre-exec register state.  Plain refs —
-     recording is single-threaded with execution. *)
-  let rec_addr = ref (-1) and rec_width = ref 0 in
-  let rec_value = ref 0 and rec_store = ref false in
-  let pre_mem instr =
-    let regs = state.Arch_state.regs in
-    let ea base imm = S4e_bits.Bits.mask32 (regs.(base) + imm) in
-    match instr with
-    | Instr.Load (op, _, base, imm) ->
-        rec_addr := ea base imm;
-        rec_width := (match op with LB | LBU -> 1 | LH | LHU -> 2 | LW -> 4);
-        rec_store := false;
-        rec_value := 0
-    | Instr.Store (op, src, base, imm) ->
-        let w = match op with Instr.SB -> 1 | SH -> 2 | SW -> 4 in
-        rec_addr := ea base imm;
-        rec_width := w;
-        rec_store := true;
-        rec_value :=
-          (if w = 4 then regs.(src) else regs.(src) land ((1 lsl (w * 8)) - 1))
-    | Instr.Flw (_, base, imm) ->
-        rec_addr := ea base imm;
-        rec_width := 4;
-        rec_store := false;
-        rec_value := 0
-    | Instr.Fsw (fsrc, base, imm) ->
-        rec_addr := ea base imm;
-        rec_width := 4;
-        rec_store := true;
-        rec_value := state.Arch_state.fregs.(fsrc)
-    | Instr.Lr (_, rs1) ->
-        rec_addr := regs.(rs1);
-        rec_width := 4;
-        rec_store := false;
-        rec_value := 0
-    | Instr.Sc (_, src, rs1) | Instr.Amo (_, _, src, rs1) ->
-        rec_addr := regs.(rs1);
-        rec_width := 4;
-        rec_store := true;
-        rec_value := regs.(src)
-    | _ ->
-        rec_addr := -1;
-        rec_width := 0;
-        rec_store := false;
-        rec_value := 0
-  in
-  (* The recorded opcode word re-encodes the AST (compressed forms
-     expand to their 32-bit equivalent); never allowed to throw on the
-     recording path. *)
-  let encode_word instr =
-    match Encode.encode instr with w -> w | exception _ -> 0
-  in
-  let note_retire r pc instr =
-    let op = encode_word instr in
-    let rd, rd_val =
-      match Instr.destination instr with
-      | Some d -> (d, state.Arch_state.regs.(d))
-      | None -> (
-          match Instr.fp_destination instr with
-          | Some f -> (32 + f, state.Arch_state.fregs.(f))
-          | None -> (-1, 0))
-    in
-    let addr = !rec_addr and width = !rec_width and store = !rec_store in
-    (* the datum of a load is its post-extension writeback *)
-    let value = if addr >= 0 && (not store) && rd >= 0 then rd_val
-                else !rec_value in
-    S4e_obs.Flight_recorder.retire r ~pc ~op ~rd ~rd_val ~addr ~width ~value
-      ~store;
-    let wps = t.watchpoints in
-    if addr >= 0 && Array.length wps > 0 then
-      for k = 0 to Array.length wps - 1 do
-        let w = Array.unsafe_get wps k in
-        if
-          addr < w.wp_hi
-          && addr + width > w.wp_lo
-          && (if store then w.wp_write else w.wp_read)
-        then begin
-          w.wp_hits <- w.wp_hits + 1;
-          S4e_obs.Flight_recorder.watch_hit r ~pc ~op ~addr ~width ~value
-            ~store;
-          match t.watch_trace with
-          | Some tr ->
-              S4e_obs.Trace_events.instant tr
-                ~args:
-                  [ ("pc", Printf.sprintf "0x%08x" pc);
-                    ("addr", Printf.sprintf "0x%08x" addr);
-                    ("value", Printf.sprintf "0x%x" value);
-                    ("dir", if store then "w" else "r") ]
-                ~name:"watchpoint" ~cat:"watch" ~tid:0 ()
-          | None -> ()
-        end
-      done
-  in
-  (* Execute one decoded instruction (generic interpreter); raises Stop
-     on exit conditions. *)
+  let on_mem = mem_observer t t.lower_ctx.Lower.lx_notify_store in
+  (* Execute one decoded instruction (the single-step reference
+     interpreter); raises Stop on exit conditions. *)
   let exec_one ipc size instr =
-    if Hooks.has_insn t.hooks then Hooks.fire_insn t.hooks ipc instr;
-    (match instr with
-    | Instr.Fence_i -> Tb_cache.flush t.tb
-    | _ -> ());
     (try
        let stall =
          if hazard > 0
@@ -871,13 +923,15 @@ let run_slice t ~fuel =
          then hazard
          else 0
        in
-       (match rcd with Some _ -> pre_mem instr | None -> ());
-       let taken = Exec.execute ~on_mem state t.bus ~size instr in
+       let op = if t.recorder = None then 0 else encode_word instr in
+       let taken =
+         observed t state ~pc:ipc ~op instr (fun () ->
+             Exec.execute ?on_mem state t.bus ~size instr)
+       in
        if hazard > 0 then t.last_load_mask <- Instr.load_dest_mask instr;
        let c = Timing_model.cost timing instr ~taken + stall in
        state.cycle <- state.cycle + c;
-       Soc.Clint.tick t.clint c;
-       (match rcd with Some r -> note_retire r ipc instr | None -> ())
+       Soc.Clint.tick t.clint c
      with Trap.Exn cause -> (
        t.last_load_mask <- 0;
        match enter_exception t cause ipc with
@@ -893,18 +947,22 @@ let run_slice t ~fuel =
         if not (wfi_resume t) then raise (Stop Wfi_halt)
     | _ -> ()
   in
-  (* Execute a lowered (µop) block: no hook dispatch, no AST
-     re-interpretation, cycle/CLINT updates batched until the block
-     boundary (or until a µop that observes time flushes them).  The
-     batch never crosses an interrupt-sampling point — blocks are where
-     interrupts are sampled — so it can never defer a timer past the
-     latency the generic path already has. *)
+  (* Execute a lowered (µop) block: no AST re-interpretation, cycle/CLINT
+     updates batched until the block boundary (or until a µop that
+     observes time flushes them).  The batch never crosses an
+     interrupt-sampling point — blocks are where interrupts are sampled
+     — so it can never defer a timer past the latency the single-step
+     engine has.  Instrumentation, when attached, lives inside the µops
+     ([instrument]); this loop is the same either way. *)
   let exec_lowered (entry : Tb_cache.entry) n =
     let uops =
       match entry.Tb_cache.lowered with
       | Some u -> u
       | None ->
-          let u = Lower.lower_entry t.lower_ctx entry in
+          let wrap =
+            if t.instrumented then Some (instrument t t.lower_ctx) else None
+          in
+          let u = Lower.lower_entry ?wrap t.lower_ctx entry in
           entry.Tb_cache.lowered <- Some u;
           u
     in
@@ -959,80 +1017,8 @@ let run_slice t ~fuel =
            base := !i;
            decr remaining;
            check_exit ();
-           (* the generic path only continues a block when the trap
-              handler happens to be the next instruction *)
-           if
-             not
-               (!i < lim
-               && state.pc = (Array.unsafe_get uops !i).Tb_cache.u_pc)
-           then quit := true)
-      done;
-      flush_time ()
-    with e ->
-      flush_time ();
-      raise e
-  in
-  (* Recording sibling of [exec_lowered]: identical µop execution, trap
-     handling, and batched accounting, plus one recorder append per
-     retired µop.  [entry.instrs] is index-parallel to the lowered µop
-     array, so the pre/post capture reads the decoded AST without
-     touching memory.  Selected per block when a recorder is attached —
-     the unarmed hot path above stays byte-identical. *)
-  let exec_lowered_rec r (entry : Tb_cache.entry) n =
-    let uops =
-      match entry.Tb_cache.lowered with
-      | Some u -> u
-      | None ->
-          let u = Lower.lower_entry t.lower_ctx entry in
-          entry.Tb_cache.lowered <- Some u;
-          u
-    in
-    let instrs = entry.Tb_cache.instrs in
-    let i = t.seg_idx and base = t.seg_base in
-    i := 0;
-    base := 0;
-    let lim = if n <= !remaining then n else !remaining in
-    let quit = ref false in
-    try
-      while (not !quit) && !i < lim do
-        (try
-           while !i < lim do
-             let u = Array.unsafe_get uops !i in
-             if u.Tb_cache.u_fence_i then Tb_cache.flush t.tb;
-             let stall =
-               if hazard > 0
-                  && t.last_load_mask land u.Tb_cache.u_src_mask <> 0
-               then hazard
-               else 0
-             in
-             let ipc, _, instr = Array.unsafe_get instrs !i in
-             pre_mem instr;
-             let c = u.Tb_cache.u_exec () + stall in
-             if hazard > 0 then
-               t.last_load_mask <- u.Tb_cache.u_load_dest_mask;
-             pending := !pending + c;
-             note_retire r ipc instr;
-             incr i;
-             check_exit ();
-             if u.Tb_cache.u_wfi then begin
-               flush_time ();
-               if not (wfi_resume t) then raise (Stop Wfi_halt)
-             end
-           done
-         with Trap.Exn cause ->
-           let u = Array.unsafe_get uops !i in
-           flush_time ();
-           t.last_load_mask <- 0;
-           (match enter_exception t cause u.Tb_cache.u_pc with
-           | Some stop -> raise (Stop stop)
-           | None ->
-               state.cycle <- state.cycle + timing.Timing_model.system;
-               Soc.Clint.tick t.clint timing.Timing_model.system);
-           state.instret <- state.instret + 1;
-           incr i;
-           base := !i;
-           decr remaining;
-           check_exit ();
+           (* like single-step, a block only continues after a trap when
+              the handler happens to be the next instruction *)
            if
              not
                (!i < lim
@@ -1057,52 +1043,18 @@ let run_slice t ~fuel =
       | Some i -> Some (4, i)
       | None -> None
   in
-  (* Generic (decoded-array) block execution; stops early if a trap
-     redirected the pc or fuel ran out. *)
-  let exec_generic (entry : Tb_cache.entry) n =
-    if Hooks.has_block t.hooks then
-      Hooks.fire_block t.hooks entry.Tb_cache.block_pc n;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue && !i < n do
-      let ipc, size, instr = Array.unsafe_get entry.Tb_cache.instrs !i in
-      if state.pc <> ipc then continue := false
-      else begin
-        exec_one ipc size instr;
-        incr i;
-        if !remaining <= 0 then continue := false
-      end
-    done
-  in
   let use_tb = t.config.use_tb_cache in
-  (* Hoisted per [run] call: hooks cannot appear mid-run when none are
-     installed (no user code executes), and a hook that unregisters
-     itself mid-run only makes this conservative (we stay on the
-     generic path until the next [run]). *)
-  let lowered_ok =
-    use_tb && t.config.lower_blocks && Hooks.is_empty t.hooks
-  in
-  (* Hoisted likewise; an unprofiled run pays one pointer test per
-     block dispatch and keeps the lowered fast path. *)
+  (* Hoisted per [run] call; an unprofiled run pays one pointer test per
+     block dispatch. *)
   let prof = t.profiler in
   let chained = t.config.chain_blocks in
-  (* Superblock traces ride on the unprofiled, unrecorded lowered
-     engine only: a profiler needs per-block attribution, a recorder
-     per-instruction capture, and hooks (lowered_ok) per-instruction
-     visibility.  All fall back transparently. *)
+  (* Superblock traces ride on plain, unprofiled runs only: a profiler
+     needs per-block attribution, and instrumentation (hooks, recorder)
+     lives in per-block µops. *)
   let sb =
-    match (t.sb, prof, rcd) with
-    | Some s, None, None when lowered_ok -> Some s
+    match (t.sb, prof) with
+    | Some s, None when not t.instrumented -> Some s
     | _ -> None
-  in
-  (* Block execution for the non-superblock paths: the lowered engine
-     (recording sibling when armed) or the generic interpreter. *)
-  let exec_entry entry n =
-    if lowered_ok then
-      match rcd with
-      | Some r -> exec_lowered_rec r entry n
-      | None -> exec_lowered entry n
-    else exec_generic entry n
   in
   let promote_mask =
     match sb with Some s -> Superblock.promote_period s - 1 | None -> 0
@@ -1161,7 +1113,7 @@ let run_slice t ~fuel =
           match prof with
           | None -> (
               match sb with
-              | Some s when lowered_ok -> (
+              | Some s -> (
                   let c = entry.Tb_cache.exec_count + 1 in
                   entry.Tb_cache.exec_count <- c;
                   match entry.Tb_cache.attach with
@@ -1178,18 +1130,18 @@ let run_slice t ~fuel =
                         Superblock.maybe_promote s entry;
                       exec_lowered entry n
                   | _ -> exec_lowered entry n)
-              | _ -> exec_entry entry n)
+              | None -> exec_lowered entry n)
           | Some p ->
               (* Block-granular attribution.  The instret/cycle deltas
-                 are exact at every exit from either engine: the lowered
-                 path drains its batched counters ([flush_time]) on all
-                 paths out of [exec_lowered], including exceptions. *)
+                 are exact at every exit: [exec_lowered] drains its
+                 batched counters ([flush_time]) on all paths out,
+                 including exceptions. *)
               let i0 = state.instret and c0 = state.cycle in
               let note () =
                 S4e_obs.Profile.note p ~pc ~bytes:entry.Tb_cache.total_size
                   ~instrs:(state.instret - i0) ~cycles:(state.cycle - c0)
               in
-              (try exec_entry entry n
+              (try exec_lowered entry n
                with e ->
                  note ();
                  raise e);

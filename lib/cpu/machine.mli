@@ -1,25 +1,24 @@
-(** The virtual prototype: one RV32 hart, bus, and platform devices.
+(** The virtual prototype: one or more RV32 harts, the bus, and the
+    platform devices.
 
-    A machine bundles architectural state, the system bus with the
-    default {!S4e_soc.Memory_map} devices (UART, CLINT, GPIO, syscon),
-    the instrumentation {!Hooks}, a configurable decoder, the
-    translation-block cache, and the timing model.  [run] executes until
-    software exits through the syscon, a fatal trap occurs, fuel runs
-    out, or the hart would sleep forever in WFI.
+    A machine bundles per-hart architectural state, the system bus with
+    the {!S4e_soc.Memory_map} devices, the instrumentation {!Hooks}, a
+    configurable decoder, a translation-block cache per hart, and the
+    timing model.  [run] executes until software exits through the
+    syscon, a fatal trap occurs, fuel runs out, or every hart would
+    sleep forever in WFI.
 
-    Three execution engines share one observable semantics (identical
-    {!state_digest} traces, enforced by differential tests):
-
-    - {b lowered} (default): translation blocks compiled to µop closure
-      arrays ([Lower]) with block chaining, batched cycle/CLINT ticking,
-      and hook dispatch specialized away.  Selected per block while no
-      hooks are installed.
-    - {b generic TB}: the decoded-array interpreter; used whenever hooks
-      are present or [lower_blocks] is off.
-    - {b single-step} ([use_tb_cache:false]): decode-dispatch per
-      instruction, with interrupt sampling gated to the same block
-      boundaries the TB path produces, so it is cycle-identical to the
-      cached engines. *)
+    One block executor runs translated code: µop closure arrays
+    ([Lower]) with block chaining and batched cycle/CLINT ticking, plus
+    superblock traces on plain, unprofiled runs.  Instrumentation is
+    compiled in: while insn, mem or block hooks or a flight recorder
+    are attached, blocks are translated with a per-µop wrapper that
+    fires them ([run] drops the cached µops when that changes); plain
+    µops carry none.  {b Single-step} ([use_tb_cache:false]) is the
+    reference interpreter ({!Exec.execute} per instruction, interrupts
+    sampled at the same block boundaries), and every configuration is
+    observationally identical to it (same {!state_digest} traces,
+    enforced by differential tests). *)
 
 type word = S4e_bits.Bits.word
 
@@ -30,9 +29,6 @@ type config = {
   timing : Timing_model.t;
   use_tb_cache : bool;
   decoder : decoder_kind;
-  lower_blocks : bool;
-      (** compile hook-free blocks to µop closures (requires
-          [use_tb_cache]) *)
   chain_blocks : bool;
       (** patch direct successor links between blocks ({!Tb_cache.next}) *)
   mem_tlb : bool;
@@ -43,7 +39,8 @@ type config = {
           escape hatch and for benchmarking the fast path. *)
   superblocks : bool;
       (** promote hot chained paths into cross-block guarded traces
-          ({!Superblock}); only effective on the lowered engine.
+          ({!Superblock}); only effective with [use_tb_cache] and
+          [chain_blocks], on runs without hooks, recorder or profiler.
           Observable behavior is identical either way (enforced by
           differential tests). *)
   device_plane : bool;
@@ -69,8 +66,8 @@ type config = {
 
 val default_config : config
 (** RV32IMFC + Zicsr + B, default timing, TB cache on, DecodeTree,
-    lowering, chaining, the memory TLB, superblock traces on, and one
-    hart. *)
+    chaining, the memory TLB, superblock traces, the device plane, and
+    one hart. *)
 
 type stop_reason =
   | Exited of int  (** software wrote the syscon EXIT register *)
@@ -155,7 +152,7 @@ type t = {
   mutable lower_ctx : Lower.ctx;
   mutable sb : Superblock.t option;
       (** the superblock trace engine; [None] when [config.superblocks]
-          is off (or the lowered engine is unavailable) *)
+          is off (or [use_tb_cache] is) *)
   harts : hart array;
   mutable cur : int;  (** index of the hart the alias fields track *)
   mutable rr : int;
@@ -172,6 +169,11 @@ type t = {
   mutable watch_trace : S4e_obs.Trace_events.t option;
       (** optional trace sink for watchpoint-hit instants; prefer
           {!set_watch_trace} *)
+  mutable instrumented : bool;
+      (** translation generation: whether the cached µops carry the
+          instrumentation wrapper.  [run] drops every hart's cached
+          µops ({!Tb_cache.drop_lowered}) when hooks or the recorder
+          change it. *)
 }
 
 val create : ?config:config -> unit -> t
@@ -179,9 +181,10 @@ val create : ?config:config -> unit -> t
 val set_profiler : t -> S4e_obs.Profile.t option -> unit
 (** Attaches (or detaches) a hot-spot profiler.  [run] then feeds it
     one {!S4e_obs.Profile.note} per dispatched translation block with
-    the block's instret/cycle deltas.  Unlike hooks, a profiler keeps
-    the lowered fast path: attribution reads the counters the engines
-    already drain at block exits, so it does not perturb execution
+    the block's instret/cycle deltas.  Unlike hooks, a profiler needs
+    no instrumented µops: attribution reads the counters the block
+    executor already drains at block exits, so it does not perturb
+    execution
     (state digests are identical with and without — enforced by
     differential tests).  Only TB dispatch is attributed; single-step
     runs ([use_tb_cache = false]) record nothing. *)
@@ -193,10 +196,9 @@ val set_recorder : t -> S4e_obs.Flight_recorder.t option -> unit
     {!S4e_obs.Flight_recorder.retire} record per retired instruction
     (pc, opcode word, register writeback, effective address / width /
     value for memory accesses) plus trap / interrupt / device-event
-    markers.  Like the profiler, an unarmed run pays one pointer test
-    per block dispatch; an armed run leaves the superblock path (the
-    lowered recording sibling captures per instruction) but never
-    perturbs execution — state digests, stop reasons, and cycle counts
+    markers.  An unarmed run pays nothing; an armed run translates
+    instrumented µops that capture per instruction (and leaves the
+    superblock path) but never perturbs execution — state digests, stop reasons, and cycle counts
     are identical armed vs. unarmed on every engine config (enforced by
     differential tests).  {!snapshot} captures the recorder's position
     and {!restore} rewinds to it, so sequence numbers stay continuous

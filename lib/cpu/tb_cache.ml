@@ -252,6 +252,8 @@ let flush t =
   t.code_lo <- max_int;
   t.code_hi <- 0
 
+let drop_lowered t = Hashtbl.iter (fun _ e -> e.lowered <- None) t.table
+
 (* Page-granular store invalidation: only blocks overlapping the
    written word die (a store writes at most 4 bytes).  The common case
    — a store outside the cached code range — is two compares. *)

@@ -50,7 +50,8 @@ type entry = {
       (** (pc, size-in-bytes, instruction) triples *)
   total_size : int;  (** bytes covered *)
   mutable lowered : uop array option;
-      (** lazily compiled µop form (hook-free fast path) *)
+      (** lazily compiled µop form (instrumented or plain, per the
+          machine's translation generation) *)
   mutable dead : bool;  (** invalidated; never executed or linked again *)
   mutable link_a : entry option;
   mutable link_a_pc : word;
@@ -102,6 +103,12 @@ val notify_range : t -> word -> int -> unit
     overlapping [\[addr, addr+len)]. *)
 
 val flush : t -> unit
+
+val drop_lowered : t -> unit
+(** Discards every cached block's µops, keeping its decoded
+    instructions, chain links and attachments: the next dispatch
+    re-lowers it.  The machine's translation-generation switch (µops
+    with or without instrumentation). *)
 
 val set_invalidate_hooks :
   t -> on_kill:(entry -> unit) -> on_flush:(unit -> unit) -> unit

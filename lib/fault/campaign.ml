@@ -250,13 +250,9 @@ let clint_hi = S4e_soc.Memory_map.clint_base + 0x10000
 type trace = {
   tr_interval : int;
   tr_digests : (int, int * string * int * int) Hashtbl.t;
-      (** instret -> (cheap fingerprint, time-relaxed state digest,
-          cycle, CLINT mtime) *)
   tr_code_lo : int;
   tr_code_hi : int;
   tr_strict : bool;
-      (** the golden run observes time, so convergence must also match
-          cycle and mtime *)
   tr_outcome : outcome;
 }
 

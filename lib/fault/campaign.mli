@@ -78,6 +78,30 @@ val run_one :
     the same contract the forked engine below realises, so the two
     must agree on every workload. *)
 
+(** {1 Golden checkpoint trace} *)
+
+type trace = {
+  tr_interval : int;
+  tr_digests : (int, int * string * int * int) Hashtbl.t;
+      (** instret -> (cheap fingerprint, time-relaxed state digest,
+          cycle, CLINT mtime) *)
+  tr_code_lo : int;
+  tr_code_hi : int;  (** executed-pc range; [tr_code_hi] exclusive *)
+  tr_strict : bool;
+      (** the golden run observes time, so convergence must also match
+          cycle and mtime *)
+  tr_outcome : outcome;  (** the golden run's own classification *)
+}
+
+val collect_trace :
+  ?config:S4e_cpu.Machine.config -> fuel:int -> interval:int ->
+  golden:signature -> S4e_asm.Program.t -> trace
+(** The golden run under insn and mem hooks, digesting the machine
+    every [interval] retired instructions from inside the insn hook —
+    mid-block, which is why instrumented µops drain batched time before
+    firing hooks.  The early-exit guard of {!run} compares against
+    it. *)
+
 (** {1 The campaign engine}
 
     [run] executes a whole fault list through a tunable engine that is

@@ -3,11 +3,10 @@
 
     The machine feeds {!note} once per dispatched block with the
     instret/cycle deltas observed across the block's execution — exact
-    on every engine because both the lowered and the generic path drain
-    their batched counters at block exits.  The profiler itself is a
-    plain hashtable and mutable fields: it belongs to exactly one
-    machine, and a run without a profiler attached pays only one
-    pointer test per block dispatch.
+    because the block executor drains its batched counters at block
+    exits.  The profiler itself is a plain hashtable and mutable
+    fields: it belongs to exactly one machine, and a run without a
+    profiler attached pays only one pointer test per block dispatch.
 
     Symbolization is a callback ([pc -> (symbol, offset) option]) so
     this library stays below the assembler/CFG layer; [Flows] builds it

@@ -368,6 +368,48 @@ warm:
 
 (* ---------------- hardening: errors, journals, shards ---------------- *)
 
+(* The golden checkpoint trace is read from inside an insn hook in the
+   middle of translation blocks, so it pins the rule that instrumented
+   µops drain batched time before hooks fire: every checkpoint's
+   fingerprint, digest, cycle and mtime, the executed-pc range and the
+   time-observation verdict must equal the single-step reference's. *)
+let test_collect_trace_engine_independent () =
+  List.iter
+    (fun name ->
+      let p =
+        S4e_asm.Assembler.assemble_exn
+          (Perfbench.Programs.find ~seed:1 name).Perfbench.Programs.source
+      in
+      let fuel = 2_000_000 in
+      let golden, _ = Campaign.golden ~fuel p in
+      let trace config =
+        Campaign.collect_trace ~config ~fuel ~interval:97 ~golden p
+      in
+      let table tr =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tr.Campaign.tr_digests []
+        |> List.sort compare
+      in
+      let tb = trace Machine.default_config in
+      let ss =
+        trace { Machine.default_config with Machine.use_tb_cache = false }
+      in
+      Alcotest.(check bool)
+        (name ^ ": checkpoints recorded") true
+        (Hashtbl.length tb.Campaign.tr_digests > 10);
+      Alcotest.(check bool)
+        (name ^ ": digest table") true (table tb = table ss);
+      Alcotest.(check (pair int int))
+        (name ^ ": code range")
+        (ss.Campaign.tr_code_lo, ss.Campaign.tr_code_hi)
+        (tb.Campaign.tr_code_lo, tb.Campaign.tr_code_hi);
+      Alcotest.(check bool)
+        (name ^ ": tr_strict") ss.Campaign.tr_strict tb.Campaign.tr_strict;
+      Alcotest.(check string)
+        (name ^ ": outcome")
+        (Campaign.outcome_name ss.Campaign.tr_outcome)
+        (Campaign.outcome_name tb.Campaign.tr_outcome))
+    [ "dhrystone"; "stream" ]
+
 module Journal = S4e_fault.Journal
 module Flows = S4e_core.Flows
 
@@ -868,7 +910,9 @@ let () =
           Alcotest.test_case "engine axes agree" `Quick
             test_engine_axes_agree;
           Alcotest.test_case "mid-block code flip visibility" `Quick
-            test_midblock_code_flip_visibility ] );
+            test_midblock_code_flip_visibility;
+          Alcotest.test_case "golden trace engine-independent" `Quick
+            test_collect_trace_engine_independent ] );
       ( "hardening",
         [ fault_string_roundtrip;
           Alcotest.test_case "malformed fault errored" `Quick

@@ -1,40 +1,27 @@
-(* Differential tests for the lowered (µop) execution engine.
+(* Differential tests for the block executor.
 
-   The machine has three engines — lowered translation blocks (with and
-   without chaining), the generic decoded-array interpreter, and
-   single-step decode-dispatch — that must be observationally
-   indistinguishable: same stop reason, same instruction and cycle
-   counts, and byte-identical [Machine.state_digest ~include_time:true]
-   on every program, including ones that trap, take timer interrupts,
+   Every configuration in {!Engines.all} — lowered translation blocks
+   with and without chaining, with instrumentation compiled in
+   ([hooked]), with superblock traces, with the TLB off — must be
+   observationally indistinguishable from the single-step reference
+   interpreter: same stop reason, same instruction and cycle counts,
+   and byte-identical [Machine.state_digest ~include_time:true] on
+   every program, including ones that trap, take timer interrupts,
    sleep in WFI, rewrite their own code, and run compressed.  These
-   tests drive all engines over hand-written corner cases and random
-   torture programs and compare.  A TLB-off variant of the default
-   engine rides along so the same cases also pin down the bus's
-   software TLB (lib/mem/bus.ml). *)
+   tests drive all configurations over hand-written corner cases and
+   random torture programs and compare.  The instrumented µops must
+   also report the same events as the reference: insn, mem and trap
+   hook streams and flight-recorder contents are compared one by one. *)
 
 module Machine = S4e_cpu.Machine
+module Hooks = S4e_cpu.Hooks
 module Torture = S4e_torture.Torture
+module Flight_recorder = S4e_obs.Flight_recorder
 
 let prop ?(count = 25) name gen f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
 
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000)
-
-(* The engines under comparison.  [lowered] is the block engine with
-   superblock traces pinned off (the stable reference); [superblocks]
-   is the full default config, so every differential case also drives
-   the trace engine.  [tlb-off] rides along likewise to prove the
-   memory fast path observationally inert. *)
-let sb_off c = { c with Machine.superblocks = false }
-
-let engines =
-  [ ("lowered", sb_off Machine.default_config);
-    ("unchained", sb_off { Machine.default_config with Machine.chain_blocks = false });
-    ("generic-tb", sb_off { Machine.default_config with Machine.lower_blocks = false });
-    ("single-step", sb_off { Machine.default_config with Machine.use_tb_cache = false });
-    ("tlb-off", sb_off { Machine.default_config with Machine.mem_tlb = false });
-    ("superblocks", Machine.default_config)
-  ]
 
 type outcome = {
   o_stop : string;
@@ -53,20 +40,20 @@ let outcome_of m stop =
    delayed DMA bursts, {!S4e_core.Flows.arm_device_rig}) before the
    run, so the differential also covers DMA invalidation, event-wheel
    ordering, and MEIP sampling. *)
-let run_program ?(fuel = 200_000) ?(rig = false) config p =
-  let m = Machine.create ~config () in
+let run_program ?(fuel = 200_000) ?(rig = false) e p =
+  let m = Engines.create e in
   S4e_asm.Program.load_machine p m;
   if rig then S4e_core.Flows.arm_device_rig m;
   outcome_of m (Machine.run m ~fuel)
 
 let check_engines_agree ?fuel ?rig p =
-  match engines with
+  match Engines.all with
   | [] -> assert false
-  | (ref_name, ref_config) :: rest ->
-      let reference = run_program ?fuel ?rig ref_config p in
+  | { Engines.name = ref_name; _ } as ref_engine :: rest ->
+      let reference = run_program ?fuel ?rig ref_engine p in
       List.iter
-        (fun (name, config) ->
-          let o = run_program ?fuel ?rig config p in
+        (fun ({ Engines.name; _ } as e) ->
+          let o = run_program ?fuel ?rig e p in
           Alcotest.(check string)
             (Printf.sprintf "%s vs %s: stop" name ref_name)
             reference.o_stop o.o_stop;
@@ -112,9 +99,9 @@ handler:
   mret
 |}
 
-(* mtvec pointing at the instruction right after the trap: the generic
-   driver keeps executing the same block (pc happens to match), and the
-   lowered driver must reproduce that. *)
+(* mtvec pointing at the instruction right after the trap: single-step
+   keeps executing straight on (pc happens to match), and the block
+   executor must reproduce that by continuing the same block. *)
 let test_trap_continues_block () =
   differential_asm {|
 _start:
@@ -251,10 +238,9 @@ let test_self_modifying_differential () = differential_asm smc_src
 
 (* ---------------- hooks attach/detach mid-run ---------------- *)
 
-(* The lowered path is only taken while no hooks are installed;
-   attaching one mid-run must transparently fall back to the generic
-   engine (observing every subsequent event) and detaching must return
-   to the lowered path — with no observable difference in the
+(* Attaching a hook between runs starts an instrumented translation
+   generation (observing every subsequent instruction) and detaching
+   returns to plain µops — with no observable difference in the
    architectural trace. *)
 let test_hooks_attach_detach_mid_run () =
   let p =
@@ -409,7 +395,7 @@ slot:
     (outcome_of m stop, Machine.trace_stats m)
   in
   let on, st = staged Machine.default_config in
-  let off, _ = staged (sb_off Machine.default_config) in
+  let off, _ = staged (Engines.sb_off Machine.default_config) in
   (match st with
   | Some s ->
       (* non-vacuity: the loop was hot enough to promote before the flip *)
@@ -496,12 +482,231 @@ dst:
   .space 64
 |}
 
+(* ---------------- instrumented event streams ---------------- *)
+
+(* Torture programs in a trap-and-interrupt environment: a periodic
+   timer interrupt, and random instruction sites patched to trap
+   (ecall, c.ebreak, an illegal word) or to sleep (wfi).  The handler
+   re-arms the timer on an interrupt; on a synchronous trap it
+   overwrites the trapping instruction with a nop of the same width and
+   retries it — code modified behind the translation cache.  The
+   handler only uses registers the torture generator never touches
+   (ra, sp, a6, a7). *)
+let handler_base = S4e_soc.Memory_map.ram_base + 0x18000
+
+let handler_src ~period =
+  Printf.sprintf
+    {|
+  .org 0x%x
+handler:
+  csrr a6, mcause
+  blt  a6, zero, irq
+  csrr a7, mepc
+  lhu  ra, 0(a7)
+  andi ra, ra, 3
+  li   sp, 3
+  beq  ra, sp, wide
+  li   ra, 1                # c.nop
+  sh   ra, 0(a7)
+  mret
+wide:
+  li   ra, 0x13             # addi zero, zero, 0
+  sh   ra, 0(a7)
+  sh   zero, 2(a7)
+  mret
+irq:
+  li   a7, 0x02004000
+  lw   ra, 0(a7)
+  addi ra, ra, %d
+  sw   ra, 0(a7)
+  mret
+|}
+    handler_base period
+
+(* Instruction boundaries of a program's code, by a linear walk (the
+   torture layout is contiguous code from its base). *)
+let instr_sites (p : S4e_asm.Program.t) =
+  let code =
+    List.find (fun c -> c.S4e_asm.Program.is_code) p.S4e_asm.Program.chunks
+  in
+  let b = code.S4e_asm.Program.bytes in
+  let rec walk off acc =
+    if off + 2 > String.length b then List.rev acc
+    else
+      let wide = Char.code b.[off] land 3 = 3 in
+      let size = if wide then 4 else 2 in
+      if off + size > String.length b then List.rev acc
+      else walk (off + size) ((code.S4e_asm.Program.addr + off, size) :: acc)
+  in
+  (code, walk 0 [])
+
+let le n w = String.init n (fun i -> Char.chr ((w lsr (8 * i)) land 0xFF))
+
+(* The torture program for [seed] with patched sites and the handler;
+   [setup] arms mtvec, the timer and interrupts after loading. *)
+let env_program ~compress seed =
+  let rng = Random.State.make [| seed; 0xe5 |] in
+  let cfg = { Torture.default_config with Torture.seed; compress } in
+  let p = Torture.generate cfg in
+  let code, sites = instr_sites p in
+  let bytes = Bytes.of_string code.S4e_asm.Program.bytes in
+  let nsites = Array.of_list sites in
+  for _ = 1 to 1 + Random.State.int rng 4 do
+    let addr, size = nsites.(Random.State.int rng (Array.length nsites)) in
+    let patch =
+      if size = 4 then
+        le 4
+          [| 0x0000_0073 (* ecall *); 0x1050_0073 (* wfi *); 0 |].(
+          Random.State.int rng 3)
+      else le 2 [| 0x9002 (* c.ebreak *); 0 |].(Random.State.int rng 2)
+    in
+    Bytes.blit_string patch 0 bytes (addr - code.S4e_asm.Program.addr)
+      (String.length patch)
+  done;
+  let handler =
+    S4e_asm.Assembler.assemble_exn
+      (handler_src ~period:(40 + Random.State.int rng 400))
+  in
+  let chunks =
+    List.map
+      (fun c ->
+        if c == code then
+          { c with S4e_asm.Program.bytes = Bytes.to_string bytes }
+        else c)
+      p.S4e_asm.Program.chunks
+  in
+  let p =
+    { p with
+      S4e_asm.Program.chunks = chunks @ handler.S4e_asm.Program.chunks }
+  in
+  let first_irq = 20 + Random.State.int rng 400 in
+  let setup m =
+    let st = m.Machine.state in
+    st.S4e_cpu.Arch_state.mtvec <- handler_base;
+    st.S4e_cpu.Arch_state.mie <- 0x80;
+    S4e_cpu.Arch_state.set_mie_bit st true;
+    let cmp = S4e_soc.Memory_map.clint_base + 0x4000 in
+    S4e_mem.Bus.write32 m.Machine.bus cmp first_irq;
+    S4e_mem.Bus.write32 m.Machine.bus (cmp + 4) 0
+  in
+  (p, setup, 4 * Torture.fuel_bound cfg)
+
+type event =
+  | Insn of int * S4e_isa.Instr.t
+  | Mem of Hooks.mem_event
+  | Trap of int * int
+  | Block of int * int
+
+(* One run with a flight recorder and a profiler attached, and — with
+   [hooks] — every kind of subscriber. *)
+let observe ?(hooks = true) ~rig config (p, setup, fuel) =
+  let m = Machine.create ~config () in
+  let events = ref [] in
+  let push e = events := e :: !events in
+  let h = m.Machine.hooks in
+  if hooks then begin
+    ignore (Hooks.on_insn h (fun pc i -> push (Insn (pc, i))) : Hooks.id);
+    ignore (Hooks.on_mem h (fun ev -> push (Mem ev)) : Hooks.id);
+    ignore
+      (Hooks.on_trap h (fun c pc ->
+           push (Trap (S4e_cpu.Trap.mcause_of_exception c, pc)))
+        : Hooks.id);
+    ignore (Hooks.on_block h (fun pc n -> push (Block (pc, n))) : Hooks.id)
+  end;
+  let r = Flight_recorder.create ~capacity:(1 lsl 15) () in
+  Machine.set_recorder m (Some r);
+  let prof = S4e_obs.Profile.create () in
+  Machine.set_profiler m (Some prof);
+  S4e_asm.Program.load_machine p m;
+  setup m;
+  if rig then S4e_core.Flows.arm_device_rig m;
+  let o = outcome_of m (Machine.run m ~fuel) in
+  (List.rev !events, Flight_recorder.records r, prof, o)
+
+(* Block events are the dispatched translation blocks: per pc they
+   count exactly the profiler's dispatches, each is followed by its
+   first instruction, and no more than its length of instructions run
+   before the next one. *)
+let blocks_are_dispatches events prof =
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Block (pc, _) ->
+          Hashtbl.replace counts pc
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts pc))
+      | _ -> ())
+    events;
+  let blocks = S4e_obs.Profile.blocks prof in
+  let rec walk budget = function
+    | [] -> true
+    | Block (pc, n) :: (Insn (ipc, _) :: _ as rest) -> ipc = pc && walk n rest
+    | Block _ :: _ -> false
+    | Insn _ :: rest -> budget > 0 && walk (budget - 1) rest
+    | (Mem _ | Trap _) :: rest -> walk budget rest
+  in
+  Hashtbl.length counts = List.length blocks
+  && List.for_all
+       (fun b ->
+         Hashtbl.find_opt counts b.S4e_obs.Profile.bl_pc
+         = Some b.S4e_obs.Profile.bl_execs)
+       blocks
+  && walk 0 events
+
+let streams_agree seed =
+  let compress = seed land 1 = 1 and rig = seed land 2 = 2 in
+  let env = env_program ~compress seed in
+  let not_block = function Block _ -> false | _ -> true in
+  let ref_events, ref_records, _, ref_o =
+    observe ~rig
+      { Machine.default_config with Machine.use_tb_cache = false }
+      env
+  in
+  let ref_stream = List.filter not_block ref_events in
+  List.for_all
+    (fun (name, config) ->
+      let events, records, prof, o = observe ~rig config env in
+      let check what ok =
+        if not ok then
+          QCheck.Test.fail_reportf "%s: %s differs from single-step" name what
+      in
+      check "outcome" (o = ref_o);
+      check "insn/mem/trap stream" (List.filter not_block events = ref_stream);
+      check "recorder contents" (records = ref_records);
+      check "block events" (blocks_are_dispatches events prof);
+      (* a recorder alone: data accesses take the plain µops *)
+      let _, records, _, o = observe ~hooks:false ~rig config env in
+      check "recorder-only outcome" (o = ref_o);
+      check "recorder-only contents" (records = ref_records);
+      true)
+    [ ("chained", Machine.default_config);
+      ("unchained",
+       { Machine.default_config with Machine.chain_blocks = false });
+      ("tlb-off", { Machine.default_config with Machine.mem_tlb = false }) ]
+
+(* the environment programs also go through the whole digest matrix *)
+let env_agrees seed =
+  let compress = seed land 1 = 1 and rig = seed land 2 = 2 in
+  let p, setup, fuel = env_program ~compress seed in
+  let run e =
+    let m = Engines.create e in
+    S4e_asm.Program.load_machine p m;
+    setup m;
+    if rig then S4e_core.Flows.arm_device_rig m;
+    outcome_of m (Machine.run m ~fuel)
+  in
+  let reference = run (List.hd Engines.all) in
+  List.for_all (fun e -> run e = reference) Engines.all
+
 let props =
   [ prop "torture: engines agree" seed_gen (torture_agrees ~compress:false);
     prop ~count:15 "torture (compressed): engines agree" seed_gen
       (torture_agrees ~compress:true);
     prop ~count:15 "torture + device rig: engines agree" seed_gen
-      (torture_agrees ~rig:true ~compress:false) ]
+      (torture_agrees ~rig:true ~compress:false);
+    prop ~count:20 "torture + traps/irq/wfi/smc: engines agree" seed_gen
+      env_agrees;
+    prop ~count:20 "instrumented event streams equal single-step's" seed_gen
+      streams_agree ]
 
 let sb_props =
   [ prop ~count:15 "smc in hot trace: engines agree" seed_gen smc_trace_agrees;

@@ -194,9 +194,8 @@ let prop_profiler_totals =
       && Profile.total_cycles prof = Machine.cycles m
       && Profile.total_execs prof > 0)
 
-(* metric gauges and the (hook-based, generic-engine) tracer agree on
-   what ran: same program, deterministic execution, independent
-   witnesses *)
+(* metric gauges and the (hook-based) tracer agree on what ran: same
+   program, deterministic execution, independent witnesses *)
 let prop_metrics_match_tracer =
   prop ~count:10 "machine gauges match Tracer.stats" seed_gen (fun seed ->
       let p =
@@ -210,8 +209,9 @@ let prop_metrics_match_tracer =
       Machine.register_metrics m reg;
       S4e_asm.Program.load_machine p m;
       let (_ : Machine.stop_reason) = Machine.run m ~fuel:200_000 in
-      (* traced run: hooks force the generic path — an independent
-         per-instruction witness of the same deterministic program *)
+      (* traced run: the hook fires from instrumented µops — an
+         independent per-instruction witness of the same deterministic
+         program *)
       let mt = Machine.create () in
       let tracer = S4e_cpu.Tracer.attach mt.Machine.hooks ~depth:4 in
       S4e_asm.Program.load_machine p mt;
@@ -226,23 +226,8 @@ let prop_metrics_match_tracer =
 
 module Flight_recorder = S4e_obs.Flight_recorder
 
-let rec_sb_off c = { c with Machine.superblocks = false }
-
-(* the six engine configs the lowered differential suite exercises *)
-let rec_engines =
-  [ ("lowered", rec_sb_off Machine.default_config);
-    ("unchained",
-     rec_sb_off { Machine.default_config with Machine.chain_blocks = false });
-    ("generic-tb",
-     rec_sb_off { Machine.default_config with Machine.lower_blocks = false });
-    ("single-step",
-     rec_sb_off { Machine.default_config with Machine.use_tb_cache = false });
-    ("tlb-off",
-     rec_sb_off { Machine.default_config with Machine.mem_tlb = false });
-    ("superblocks", Machine.default_config) ]
-
-let rec_outcome_of ?config ?recorder p =
-  let m = Machine.create ?config () in
+let rec_outcome_of ?(engine = List.hd Engines.all) ?recorder p =
+  let m = Engines.create engine in
   (match recorder with
   | Some r -> Machine.set_recorder m (Some r)
   | None -> ());
@@ -253,9 +238,9 @@ let rec_outcome_of ?config ?recorder p =
     Machine.instret m,
     Machine.cycles m )
 
-(* tentpole invariant: an armed recorder is observationally inert on
-   every engine config — identical digest, stop reason, instret, and
-   cycle count *)
+(* an armed recorder is observationally inert on every engine of the
+   differential matrix ({!Engines.all}) — identical digest, stop
+   reason, instret, and cycle count *)
 let prop_recorder_inert =
   prop ~count:8 "recorder armed vs unarmed: identical run on every engine"
     seed_gen (fun seed ->
@@ -263,12 +248,12 @@ let prop_recorder_inert =
         Torture.generate { Torture.default_config with Torture.seed }
       in
       List.for_all
-        (fun (_, config) ->
-          let plain = rec_outcome_of ~config p in
+        (fun engine ->
+          let plain = rec_outcome_of ~engine p in
           let r = Flight_recorder.create ~capacity:64 () in
-          let recorded = rec_outcome_of ~config ~recorder:r p in
+          let recorded = rec_outcome_of ~engine ~recorder:r p in
           plain = recorded && Flight_recorder.seq r > 0)
-        rec_engines)
+        Engines.all)
 
 (* arming and disarming mid-run (between run calls) is equally inert;
    both runs use identical fuel segmentation so the recorder is the

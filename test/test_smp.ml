@@ -5,8 +5,9 @@
    extensions, LR/SC reservations surviving trap entry (and machine
    forks), and WFI treated as terminal even when another hart could
    wake the sleeper with an IPI.  The differential half runs the
-   deterministic SMP torture workloads (lib/torture/smp.ml) across all
-   six engine configurations and across scheduler slice sizes, and
+   deterministic SMP torture workloads (lib/torture/smp.ml) across the
+   whole engine matrix ({!Engines.all}) and across scheduler slice
+   sizes, and
    fuzzes LR/SC/AMO sequences the pre-SMP torture suite never
    generated. *)
 
@@ -22,23 +23,20 @@ let prop ?(count = 15) name gen f =
 
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000)
 
-let sb_off c = { c with Machine.superblocks = false }
-
-(* Same six engine configurations as test_lowered.ml. *)
-let engines =
-  [ ("lowered", sb_off Machine.default_config);
-    ("unchained", sb_off { Machine.default_config with Machine.chain_blocks = false });
-    ("generic-tb", sb_off { Machine.default_config with Machine.lower_blocks = false });
-    ("single-step", sb_off { Machine.default_config with Machine.use_tb_cache = false });
-    ("tlb-off", sb_off { Machine.default_config with Machine.mem_tlb = false });
-    ("superblocks", Machine.default_config)
-  ]
+let engines = Engines.all
 
 let with_harts ?(slice = 1024) n config =
   { config with Machine.harts = n; Machine.hart_slice = slice }
 
 let run_program ?(fuel = 1_000_000) config p =
   let m = Machine.create ~config () in
+  S4e_asm.Program.load_machine p m;
+  let stop = Machine.run m ~fuel in
+  (m, stop)
+
+(* [run_program] on engine [e], its config adjusted by [map] *)
+let run_engine ?(fuel = 1_000_000) ?map e p =
+  let m = Engines.create ?map e in
   S4e_asm.Program.load_machine p m;
   let stop = Machine.run m ~fuel in
   (m, stop)
@@ -150,9 +148,9 @@ cell:
 |}
   in
   List.iter
-    (fun (name, config) ->
-      let _, stop = run_program config p in
-      check_exit_ok (name ^ ": sc after trap fails") stop)
+    (fun e ->
+      let _, stop = run_engine e p in
+      check_exit_ok (e.Engines.name ^ ": sc after trap fails") stop)
     engines
 
 (* LR, then an asynchronous interrupt (self-IPI through the CLINT,
@@ -187,9 +185,9 @@ cell:
 |}
   in
   List.iter
-    (fun (name, config) ->
-      let _, stop = run_program config p in
-      check_exit_ok (name ^ ": sc after interrupt fails") stop)
+    (fun e ->
+      let _, stop = run_engine e p in
+      check_exit_ok (e.Engines.name ^ ": sc after interrupt fails") stop)
     engines
 
 let test_reservation_copy_restore () =
@@ -286,9 +284,9 @@ flag:
 |}
   in
   List.iter
-    (fun (name, config) ->
-      let _, stop = run_program (with_harts 2 config) p in
-      check_exit_ok (name ^ ": wfi wakes on IPI") stop)
+    (fun e ->
+      let _, stop = run_engine ~map:(with_harts 2) e p in
+      check_exit_ok (e.Engines.name ^ ": wfi wakes on IPI") stop)
     engines
 
 (* A lone parked hart with nothing able to wake it is still a halt. *)
@@ -306,7 +304,7 @@ _start:
 let digest_of ?(include_time = true) ?(include_instret = true) m =
   Digest.to_hex (Machine.state_digest ~include_time ~include_instret m)
 
-(* All six engines agree on the full digest of both SMP workloads at a
+(* All engines agree on the full digest of both SMP workloads at a
    fixed slice. *)
 let test_smp_engines_agree () =
   List.iter
@@ -314,13 +312,13 @@ let test_smp_engines_agree () =
       let fuel = Smp.fuel ~harts:2 ~rounds:8 in
       match engines with
       | [] -> assert false
-      | (ref_name, ref_config) :: rest ->
-          let mr, stopr = run_program ~fuel (with_harts 2 ref_config) p in
+      | { Engines.name = ref_name; _ } as ref_engine :: rest ->
+          let mr, stopr = run_engine ~fuel ~map:(with_harts 2) ref_engine p in
           check_exit_ok (wname ^ " " ^ ref_name) stopr;
           let dr = digest_of mr in
           List.iter
-            (fun (name, config) ->
-              let m, stop = run_program ~fuel (with_harts 2 config) p in
+            (fun ({ Engines.name; _ } as e) ->
+              let m, stop = run_engine ~fuel ~map:(with_harts 2) e p in
               Alcotest.(check string)
                 (Printf.sprintf "%s: %s vs %s stop" wname name ref_name)
                 (stop_str stopr) (stop_str stop);
@@ -396,9 +394,10 @@ let test_four_harts_complete () =
     (fun (wname, p) ->
       let fuel = Smp.fuel ~harts:4 ~rounds:8 in
       List.iter
-        (fun (name, config) ->
-          let _, stop = run_program ~fuel (with_harts 4 config) p in
-          check_exit_ok (Printf.sprintf "%s at 4 harts (%s)" wname name) stop)
+        (fun e ->
+          let _, stop = run_engine ~fuel ~map:(with_harts 4) e p in
+          check_exit_ok
+            (Printf.sprintf "%s at 4 harts (%s)" wname e.Engines.name) stop)
         engines)
     (Smp.suite ~harts:4 ~rounds:8)
 
@@ -435,12 +434,12 @@ let prop_amo_differential =
       let fuel = Torture.fuel_bound cfg in
       match engines with
       | [] -> assert false
-      | (_, ref_config) :: rest ->
-          let mr, stopr = run_program ~fuel ref_config p in
+      | ref_engine :: rest ->
+          let mr, stopr = run_engine ~fuel ref_engine p in
           let dr = digest_of mr in
           List.for_all
-            (fun (_, config) ->
-              let m, stop = run_program ~fuel config p in
+            (fun e ->
+              let m, stop = run_engine ~fuel e p in
               stop_str stop = stop_str stopr && digest_of m = dr)
             rest)
 

@@ -46,8 +46,8 @@ again:
 |}
 
 (* A nested loop doing enough work (~45k instructions) that a rerun
-   campaign over a few hundred mutants takes seconds, leaving a window
-   to deliver SIGINT mid-run for the kill-and-resume check. *)
+   campaign over ~1000 mutants takes seconds, leaving a window to
+   deliver SIGINT mid-run for the kill-and-resume check. *)
 let slow_src = {|
 _start:
   li   s0, 0
@@ -304,7 +304,7 @@ let () =
   (let j = Filename.concat dir "killed.jsonl" in
    let part = Filename.concat dir "killed.out" in
    let args =
-     Printf.sprintf "fault %s -n 400 --fuel 200000 --rerun -j 2" slow
+     Printf.sprintf "fault %s -n 1200 --fuel 200000 --rerun -j 2" slow
    in
    (* Interrupt a campaign mid-run, then resume it from the journal and
       compare the final summary against an uninterrupted reference. *)
@@ -320,7 +320,7 @@ let () =
   (let j = Filename.concat dir "termed.jsonl" in
    let part = Filename.concat dir "termed.out" in
    let args =
-     Printf.sprintf "fault %s -n 400 --fuel 200000 --rerun -j 2" slow
+     Printf.sprintf "fault %s -n 1200 --fuel 200000 --rerun -j 2" slow
    in
    (* Same shape with SIGTERM: supervisors (and the fleet) stop
       campaigns with TERM, which must journal and exit 143. *)
