@@ -9,6 +9,7 @@
 open Bechamel
 module Machine = S4e_cpu.Machine
 module Flows = S4e_core.Flows
+module Engines = S4e_torture.Engines
 
 let line = String.make 72 '-'
 
@@ -72,14 +73,6 @@ let find_ns results name =
   | None -> nan
 
 let pct f = 100.0 *. f
-
-(* No-op insn, mem and block subscribers: a machine with these attached
-   translates instrumented µops — the [hooked] arm of the digest gates. *)
-let attach_noop_hooks m =
-  let h = m.Machine.hooks in
-  ignore (S4e_cpu.Hooks.on_insn h (fun _ _ -> ()) : S4e_cpu.Hooks.id);
-  ignore (S4e_cpu.Hooks.on_mem h ignore : S4e_cpu.Hooks.id);
-  ignore (S4e_cpu.Hooks.on_block h (fun _ _ -> ()) : S4e_cpu.Hooks.id)
 
 (* ------------------------------------------------------------------ *)
 (* E1: suite coverage table                                             *)
@@ -498,39 +491,31 @@ lock_driver_open:
 
 let e9 () =
   section "E9" "emulation throughput with and without the TB cache";
+  let fuel = 1_000_000 in
   let programs =
     (Workloads.mix :: Workloads.all)
     |> List.map (fun w -> (w.Workloads.w_name, Workloads.program w))
   in
-  let instret_of p config =
-    let m = Machine.create ~config () in
-    S4e_asm.Program.load_machine p m;
-    ignore (Machine.run m ~fuel:1_000_000);
-    Machine.instret m
+  let cached = Engines.make "cached" Machine.default_config in
+  let uncached =
+    Engines.make "uncached"
+      { Machine.default_config with Machine.use_tb_cache = false }
   in
   Printf.printf "%-10s %12s %14s %14s %8s\n" "workload" "instrs" "cached MIPS"
     "uncached MIPS" "ratio";
   List.iter
     (fun (name, p) ->
-      let cached_cfg = Machine.default_config in
-      let uncached_cfg =
-        { Machine.default_config with Machine.use_tb_cache = false }
+      let r =
+        Harness.gate ~exp:"E9" ~workload:name ~fuel ~reference:cached
+          [ uncached ] p
       in
-      let n = instret_of p cached_cfg in
-      let run config () =
-        let m = Machine.create ~config () in
-        S4e_asm.Program.load_machine p m;
-        ignore (Machine.run m ~fuel:1_000_000)
+      let[@warning "-8"] [ c; u ] =
+        Harness.steady ~reps:(Harness.reps r.Harness.instrs) ~fuel
+          [ cached; uncached ] p
       in
-      let results =
-        benchmark_ns
-          [ Test.make ~name:"cached" (Staged.stage (run cached_cfg));
-            Test.make ~name:"uncached" (Staged.stage (run uncached_cfg)) ]
-      in
-      let mips ns = float_of_int n /. (ns /. 1e9) /. 1e6 in
-      let c = find_ns results "cached" and u = find_ns results "uncached" in
-      Printf.printf "%-10s %12d %14.2f %14.2f %7.2fx\n" name n (mips c)
-        (mips u) (u /. c))
+      Printf.printf "%-10s %12d %14.2f %14.2f %7.2fx\n" name
+        (fst c).Harness.instrs (Harness.mips c) (Harness.mips u)
+        (snd u /. snd c))
     programs;
   Printf.printf
     "(the TB cache is the QEMU TCG analogue; the ratio justifies the \
@@ -547,7 +532,7 @@ let e9 () =
         let m = Machine.create () in
         let caches = C.attach ~icache:geo ~dcache:geo m in
         S4e_asm.Program.load_machine p m;
-        ignore (Machine.run m ~fuel:1_000_000);
+        ignore (Machine.run m ~fuel);
         ( 100.0 *. C.hit_rate (C.icache_stats caches),
           100.0 *. C.hit_rate (C.dcache_stats caches) )
       in
@@ -762,24 +747,14 @@ let e12 () =
       ~kinds:[ `Transient ] ~coverage:cov ~golden_instret:instret
   in
   let n = List.length faults in
-  (* min-of-3 wall clock: this box is noisy and each run is short *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let r1, t1 = once () in
-    let _, t2 = once () in
-    let _, t3 = once () in
-    (r1, List.fold_left min t1 [ t2; t3 ])
+  let campaign ?(jobs = 1) engine faults () =
+    C.run ~engine ~jobs ~fuel p ~golden faults
   in
-  let campaign engine jobs faults =
-    time (fun () -> C.run ~engine ~jobs ~fuel p ~golden faults)
+  let[@warning "-8"] [ (r_naive, t_naive); (r_eng, t_eng); (r_par, t_par) ] =
+    Harness.time
+      [ campaign C.rerun_engine faults; campaign C.default_engine faults;
+        campaign ~jobs:4 C.default_engine faults ]
   in
-  let r_naive, t_naive = campaign C.rerun_engine 1 faults in
-  let r_eng, t_eng = campaign C.default_engine 1 faults in
-  let r_par, t_par = campaign C.default_engine 4 faults in
   assert (r_naive = r_eng);
   assert (r_eng = r_par);
   let s = C.summarize r_eng in
@@ -808,8 +783,10 @@ let e12 () =
       ~kinds:[ `Permanent; `Transient ] ~coverage:cov
       ~golden_instret:instret
   in
-  let rm_naive, tm_naive = campaign C.rerun_engine 1 mixed in
-  let rm_eng, tm_eng = campaign C.default_engine 1 mixed in
+  let[@warning "-8"] [ (rm_naive, tm_naive); (rm_eng, tm_eng) ] =
+    Harness.time
+      [ campaign C.rerun_engine mixed; campaign C.default_engine mixed ]
+  in
   assert (rm_naive = rm_eng);
   record ~exp:"e12" ~name:"mixed-kind-speedup" ~value:(tm_naive /. tm_eng)
     ~unit_:"x";
@@ -824,11 +801,9 @@ let e12 () =
         { S4e_fault.Fault.loc = S4e_fault.Fault.Gpr (10 + (i mod 8), i mod 32);
           kind = S4e_fault.Fault.Transient (instret - 1 - (i * 7 mod 2000)) })
   in
-  let rl_naive, tl_naive =
-    time (fun () -> C.run ~engine:C.rerun_engine ~fuel p ~golden late)
-  in
-  let rl_fork, tl_fork =
-    time (fun () -> C.run ~engine:C.default_engine ~fuel p ~golden late)
+  let[@warning "-8"] [ (rl_naive, tl_naive); (rl_fork, tl_fork) ] =
+    Harness.time
+      [ campaign C.rerun_engine late; campaign C.default_engine late ]
   in
   assert (rl_naive = rl_fork);
   record ~exp:"e12" ~name:"late-transient-fork-speedup"
@@ -852,44 +827,24 @@ let e13 () =
   (* superblocks pinned off in every arm: this experiment isolates the
      chaining axis and the cost of instrumented µops; the trace layer on
      top is E16's *)
-  let lowered_cfg =
-    { Machine.default_config with
-      Machine.chain_blocks = false; superblocks = false }
-  in
-  let chained_cfg =
-    { Machine.default_config with Machine.superblocks = false }
-  in
+  let unchained = Harness.engine "unchained" in
+  let chained = Harness.engine "lowered" in
   (* hook-cost arms: the chained engine with one no-op subscriber of a
      kind, or an armed recorder — each runs instrumented µops *)
   let arms =
-    [ ("+insn", fun m ->
-          ignore
-            (S4e_cpu.Hooks.on_insn m.Machine.hooks (fun _ _ -> ())
-              : S4e_cpu.Hooks.id));
-      ("+mem", fun m ->
-          ignore (S4e_cpu.Hooks.on_mem m.Machine.hooks ignore : S4e_cpu.Hooks.id));
-      ("+rec", fun m ->
-          Machine.set_recorder m
-            (Some (S4e_obs.Flight_recorder.create ()))) ]
-  in
-  let finish ?(instrument = ignore) p config =
-    let m = Machine.create ~config () in
-    instrument m;
-    S4e_asm.Program.load_machine p m;
-    ignore (Machine.run m ~fuel);
-    m
-  in
-  (* min-of-3 wall clock, as in E12: short runs on a noisy box *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let t1 = once () in
-    let t2 = once () in
-    let t3 = once () in
-    List.fold_left min t1 [ t2; t3 ]
+    List.map
+      (fun (name, instrument) ->
+        Engines.make name ~instrument chained.Engines.config)
+      [ ("+insn", fun m ->
+            ignore
+              (S4e_cpu.Hooks.on_insn m.Machine.hooks (fun _ _ -> ())
+                : S4e_cpu.Hooks.id));
+        ("+mem", fun m ->
+            ignore
+              (S4e_cpu.Hooks.on_mem m.Machine.hooks ignore : S4e_cpu.Hooks.id));
+        ("+rec", fun m ->
+            Machine.set_recorder m
+              (Some (S4e_obs.Flight_recorder.create ()))) ]
   in
   (* throughput-sized workloads only: the tiny WCET micro-kernels (fib,
      search, calls; < 200 instructions) measure machine construction,
@@ -906,72 +861,20 @@ let e13 () =
   let rows =
     List.map
       (fun (name, p) ->
-        (* correctness gate first: every arm must agree bit-for-bit
-           (including cycle counters and mtime) with the plain chained
-           run before we time anything *)
-        let m_ref = finish p chained_cfg in
-        let d_ref = Machine.state_digest ~include_time:true m_ref in
-        let gate ename m =
-          if Machine.state_digest ~include_time:true m <> d_ref then
-            failwith
-              (Printf.sprintf "E13: %s digest mismatch on %s" ename name)
+        (* correctness gate first: every engine and hook arm must agree
+           bit-for-bit (including cycle counters and mtime) with the
+           plain chained run before we time anything *)
+        let r =
+          Harness.gate ~exp:"E13" ~workload:name ~fuel ~reference:chained
+            (Engines.all @ arms) p
         in
-        gate "unchained" (finish p lowered_cfg);
-        gate "single-step"
-          (finish p
-             { Machine.default_config with Machine.use_tb_cache = false });
-        List.iter
-          (fun (aname, instrument) ->
-            gate aname (finish ~instrument p chained_cfg))
-          arms;
-        let n1 = Machine.instret m_ref in
-        (* steady-state throughput: re-run the image on the same machine
-           (reset keeps memory and the warm TB cache) until each timed
-           sample covers >= 200k instructions.  Execution is
-           deterministic and digest-identical across arms, so every arm
-           runs the exact same instruction sequence. *)
-        let reps = max 1 (200_000 / max n1 1) in
-        let run ?(instrument = ignore) config () =
-          let m = Machine.create ~config () in
-          instrument m;
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          ignore (Machine.run m ~fuel);
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel)
-          done;
-          m
+        let[@warning "-8"] (tl :: tc :: t_arms) =
+          Harness.steady ~reps:(Harness.reps r.Harness.instrs) ~fuel
+            (unchained :: chained :: arms) p
         in
-        (* instruction total over the rep sequence (reps after the first
-           may differ slightly from the first because the image's data
-           segment carries over) *)
-        let n =
-          let m = Machine.create ~config:chained_cfg () in
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          let tot = ref 0 in
-          ignore (Machine.run m ~fuel);
-          tot := !tot + Machine.instret m;
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel);
-            tot := !tot + Machine.instret m
-          done;
-          !tot
-        in
-        let mips t = float_of_int n /. t /. 1e6 in
-        let tl = time (fun () -> ignore (run lowered_cfg ())) in
-        let tc = time (fun () -> ignore (run chained_cfg ())) in
-        let t_arms =
-          List.map
-            (fun (aname, instrument) ->
-              (aname, time (fun () -> ignore (run ~instrument chained_cfg ()))))
-            arms
-        in
-        (* chain hit rate over the same rep sequence *)
-        let mc = run chained_cfg () in
-        let ts = S4e_cpu.Tb_cache.stats mc.Machine.tb in
+        let n = (fst tc).Harness.instrs in
+        (* chain hit rate over the timed rep sequence *)
+        let ts = S4e_cpu.Tb_cache.stats (fst tc).Harness.machine.Machine.tb in
         let chained_hits = ts.S4e_cpu.Tb_cache.st_chain_hits in
         let dispatches =
           ts.S4e_cpu.Tb_cache.st_hits + ts.S4e_cpu.Tb_cache.st_misses
@@ -981,52 +884,48 @@ let e13 () =
           if dispatches = 0 then 0.0
           else pct (float_of_int chained_hits /. float_of_int dispatches)
         in
-        let speedup = tl /. tc in
+        let speedup = snd tl /. snd tc in
         Printf.printf "%-10s %10d %9.2f %9.2f %6.1f%% %6.2fx" name n
-          (mips tl) (mips tc) chain_pct speedup;
-        List.iter (fun (_, t) -> Printf.printf " %9.2f" (mips t)) t_arms;
+          (Harness.mips tl) (Harness.mips tc) chain_pct speedup;
+        List.iter (fun s -> Printf.printf " %9.2f" (Harness.mips s)) t_arms;
         print_newline ();
-        record ~exp:"e13" ~name:(name ^ "/lowered-mips") ~value:(mips tl)
-          ~unit_:"MIPS";
-        record ~exp:"e13" ~name:(name ^ "/chained-mips") ~value:(mips tc)
-          ~unit_:"MIPS";
+        record ~exp:"e13" ~name:(name ^ "/lowered-mips")
+          ~value:(Harness.mips tl) ~unit_:"MIPS";
+        record ~exp:"e13" ~name:(name ^ "/chained-mips")
+          ~value:(Harness.mips tc) ~unit_:"MIPS";
         record ~exp:"e13" ~name:(name ^ "/chain-speedup") ~value:speedup
           ~unit_:"ratio";
-        List.iter
-          (fun (aname, t) ->
+        List.iter2
+          (fun (a : Engines.t) s ->
             record ~exp:"e13"
-              ~name:(Printf.sprintf "%s/%s-mips" name aname)
-              ~value:(mips t) ~unit_:"MIPS";
+              ~name:(Printf.sprintf "%s/%s-mips" name a.name)
+              ~value:(Harness.mips s) ~unit_:"MIPS";
             record ~exp:"e13"
-              ~name:(Printf.sprintf "%s/%s-slowdown" name aname)
-              ~value:(t /. tc) ~unit_:"ratio")
-          t_arms;
-        (speedup, List.map (fun (_, t) -> t /. tc) t_arms))
+              ~name:(Printf.sprintf "%s/%s-slowdown" name a.name)
+              ~value:(snd s /. snd tc) ~unit_:"ratio")
+          arms t_arms;
+        (speedup, List.map (fun s -> snd s /. snd tc) t_arms))
       programs
   in
-  let geomean rs =
-    exp (List.fold_left (fun a r -> a +. log r) 0.0 rs
-         /. float_of_int (List.length rs))
-  in
-  let chain = geomean (List.map fst rows) in
+  let chain = Harness.geomean (List.map fst rows) in
   record ~exp:"e13" ~name:"geomean-chain-speedup" ~value:chain
     ~unit_:"ratio";
   Printf.printf "geomean speedup (chained over unchained blocks): %.2fx\n"
     chain;
   List.iteri
-    (fun k (aname, _) ->
-      let g = geomean (List.map (fun (_, sl) -> List.nth sl k) rows) in
+    (fun k (a : Engines.t) ->
+      let g = Harness.geomean (List.map (fun (_, sl) -> List.nth sl k) rows) in
       record ~exp:"e13"
-        ~name:(Printf.sprintf "geomean-%s-slowdown" aname)
+        ~name:(Printf.sprintf "geomean-%s-slowdown" a.name)
         ~value:g ~unit_:"ratio";
       Printf.printf "geomean slowdown of %s over plain chained: %.2fx\n"
-        aname g)
+        a.name g)
     arms;
   Printf.printf
     "(dispatch, timing, and hazard lookups hoisted to translate time; \
      hooks and the recorder compiled into the µops as a per-instruction \
      wrapper; every arm digest-identical to the plain chained run and to \
-     single-step — asserted above)\n"
+     the whole engine matrix — asserted above)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E14: telemetry overhead of the unified observability layer           *)
@@ -1037,19 +936,14 @@ let e14 () =
   let module Obs = S4e_obs in
   let fuel = 1_000_000 in
   let cfg = Machine.default_config in
-  (* min-of-5 wall clock: the deltas measured here are small (the whole
-     point), so take more samples than E13 does *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let best = ref (once ()) in
-    for _ = 2 to 5 do
-      best := min !best (once ())
-    done;
-    !best
+  let plain = Engines.make "plain" cfg in
+  let metrics =
+    Engines.make "metrics" cfg ~instrument:(fun m ->
+        Machine.register_metrics m (Obs.Metrics.create ()))
+  in
+  let profiler =
+    Engines.make "profiler" cfg ~instrument:(fun m ->
+        Machine.set_profiler m (Some (Obs.Profile.create ())))
   in
   let programs =
     [ Workloads.mix; Workloads.dhrystone ]
@@ -1061,53 +955,20 @@ let e14 () =
     "(MIPS)" "(overhd)" "(overhd)";
   List.iter
     (fun (name, p) ->
-      (* same steady-state rep sizing as E13 *)
-      let n1 =
-        let m = Machine.create ~config:cfg () in
-        S4e_asm.Program.load_machine p m;
-        ignore (Machine.run m ~fuel);
-        Machine.instret m
+      let reps = Harness.reps (Harness.run ~fuel plain p).Harness.instrs in
+      (* correctness gate over the whole rep sequence: telemetry must
+         not perturb execution *)
+      ignore
+        (Harness.gate ~reps ~exp:"E14" ~workload:name ~fuel ~reference:plain
+           [ metrics; profiler ] p
+          : Harness.run);
+      (* min of 5: the deltas measured here are small (the whole
+         point), so take more samples than E13 does *)
+      let[@warning "-8"] [ tp; tm; tf ] =
+        Harness.steady ~n:5 ~reps ~fuel [ plain; metrics; profiler ] p
       in
-      let reps = max 1 (200_000 / max n1 1) in
-      (* [instrument] decorates a fresh machine before the run; the run
-         itself is the identical rep loop for every variant *)
-      let run instrument () =
-        let m = Machine.create ~config:cfg () in
-        instrument m;
-        S4e_asm.Program.load_machine p m;
-        let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-        ignore (Machine.run m ~fuel);
-        for _ = 2 to reps do
-          Machine.reset m ~pc:entry;
-          ignore (Machine.run m ~fuel)
-        done;
-        m
-      in
-      let n = reps * n1 in
-      let mips t = float_of_int n /. t /. 1e6 in
-      (* correctness gate: telemetry must not perturb execution *)
-      let d_plain =
-        Machine.state_digest ~include_time:true (run ignore ())
-      in
-      let with_profiler m =
-        Machine.set_profiler m (Some (Obs.Profile.create ()))
-      in
-      let with_metrics m =
-        Machine.register_metrics m (Obs.Metrics.create ())
-      in
-      List.iter
-        (fun (vname, instrument) ->
-          let d =
-            Machine.state_digest ~include_time:true (run instrument ())
-          in
-          if d <> d_plain then
-            failwith
-              (Printf.sprintf "E14: %s digest mismatch on %s" vname name))
-        [ ("metrics", with_metrics); ("profiler", with_profiler) ];
-      let tp = time (fun () -> ignore (run ignore ())) in
-      let tm = time (fun () -> ignore (run with_metrics ())) in
-      let tf = time (fun () -> ignore (run with_profiler ())) in
-      let ovh t = pct ((t /. tp) -. 1.0) in
+      let ovh s = pct ((snd s /. snd tp) -. 1.0) in
+      let mips = Harness.mips in
       Printf.printf "%-10s %9.2f %9.2f %9.2f %9.1f%% %9.1f%%\n" name
         (mips tp) (mips tm) (mips tf) (ovh tm) (ovh tf);
       record ~exp:"e14" ~name:(name ^ "/plain-mips") ~value:(mips tp)
@@ -1143,27 +1004,22 @@ let e14 () =
      asserted above)\n"
 
 (* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* E15: the memory fast path — software TLB of direct page pointers     *)
 
 let e15 () =
   section "E15"
     "memory fast path: software TLB with direct page pointers";
   let fuel = 1_000_000 in
-  let tlb_cfg = Machine.default_config in
-  let slow_cfg = { Machine.default_config with Machine.mem_tlb = false } in
-  (* min-of-3 wall clock, as in E13 *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let t1 = once () in
-    let t2 = once () in
-    let t3 = once () in
-    List.fold_left min t1 [ t2; t3 ]
+  let tlb_on = Engines.make "tlb-on" Machine.default_config in
+  let tlb_off =
+    Engines.make "tlb-off (superblocks on)"
+      { Machine.default_config with Machine.mem_tlb = false }
+  in
+  (* the matrix runs every other engine with the TLB on (and [tlb-off]
+     with superblocks off); this adds the hooked engine with it off *)
+  let extra =
+    [ Engines.make "tlb-off hooked" ~instrument:Engines.attach_noop_hooks
+        tlb_off.Engines.config ]
   in
   (* Memory-heavy workloads only: stream (copy + checksum) and pchase
      (dependent loads) are load/store-dominated by construction; mix,
@@ -1186,74 +1042,29 @@ let e15 () =
       (fun (name, p) ->
         (* correctness gate before timing: TLB on and off must be
            digest-identical on every engine *)
-        let finish ?(instrument = ignore) config =
-          let m = Machine.create ~config () in
-          instrument m;
-          S4e_asm.Program.load_machine p m;
-          ignore (Machine.run m ~fuel);
-          m
+        let r =
+          Harness.gate ~exp:"E15" ~workload:name ~fuel ~reference:tlb_off
+            (Engines.all @ extra) p
         in
-        let m_ref = finish slow_cfg in
-        let d_ref = Machine.state_digest ~include_time:true m_ref in
-        List.iter
-          (fun (ename, config, instrument) ->
-            let m = finish ~instrument config in
-            if Machine.state_digest ~include_time:true m <> d_ref then
-              failwith
-                (Printf.sprintf "E15: %s digest mismatch on %s" ename name))
-          [ ("tlb-on", tlb_cfg, ignore);
-            ("tlb-on unchained",
-             { tlb_cfg with Machine.chain_blocks = false }, ignore);
-            ("tlb-on hooked", tlb_cfg, attach_noop_hooks);
-            ("tlb-off hooked", slow_cfg, attach_noop_hooks);
-            ("tlb-on single-step",
-             { tlb_cfg with Machine.use_tb_cache = false }, ignore) ];
-        let n1 = Machine.instret m_ref in
-        (* steady-state rep sizing, as in E13 *)
-        let reps = max 1 (200_000 / max n1 1) in
-        let run config () =
-          let m = Machine.create ~config () in
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          ignore (Machine.run m ~fuel);
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel)
-          done;
-          m
+        let[@warning "-8"] [ off; on ] =
+          Harness.steady ~reps:(Harness.reps r.Harness.instrs) ~fuel
+            [ tlb_off; tlb_on ] p
         in
-        let n =
-          let m = Machine.create ~config:tlb_cfg () in
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          let tot = ref 0 in
-          ignore (Machine.run m ~fuel);
-          tot := !tot + Machine.instret m;
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel);
-            tot := !tot + Machine.instret m
-          done;
-          !tot
-        in
-        let mips t = float_of_int n /. t /. 1e6 in
-        let t_off = time (fun () -> ignore (run slow_cfg ())) in
-        let t_on = time (fun () -> ignore (run tlb_cfg ())) in
-        let m_on = run tlb_cfg () in
-        let ts = S4e_mem.Bus.tlb_stats m_on.Machine.bus in
+        let ts = S4e_mem.Bus.tlb_stats (fst on).Harness.machine.Machine.bus in
         let accesses = ts.S4e_mem.Bus.tlb_hits + ts.S4e_mem.Bus.tlb_misses in
         let hit_pct =
           if accesses = 0 then 0.0
           else pct (float_of_int ts.S4e_mem.Bus.tlb_hits
                     /. float_of_int accesses)
         in
-        let speedup = t_off /. t_on in
-        Printf.printf "%-10s %10d %9.2f %9.2f %7.1f%% %6.2fx\n" name n
-          (mips t_off) (mips t_on) hit_pct speedup;
-        record ~exp:"e15" ~name:(name ^ "/tlb-off-mips") ~value:(mips t_off)
-          ~unit_:"MIPS";
-        record ~exp:"e15" ~name:(name ^ "/tlb-on-mips") ~value:(mips t_on)
-          ~unit_:"MIPS";
+        let speedup = snd off /. snd on in
+        Printf.printf "%-10s %10d %9.2f %9.2f %7.1f%% %6.2fx\n" name
+          (fst on).Harness.instrs (Harness.mips off) (Harness.mips on)
+          hit_pct speedup;
+        record ~exp:"e15" ~name:(name ^ "/tlb-off-mips")
+          ~value:(Harness.mips off) ~unit_:"MIPS";
+        record ~exp:"e15" ~name:(name ^ "/tlb-on-mips")
+          ~value:(Harness.mips on) ~unit_:"MIPS";
         record ~exp:"e15" ~name:(name ^ "/tlb-hit-rate") ~value:hit_pct
           ~unit_:"%";
         record ~exp:"e15" ~name:(name ^ "/speedup") ~value:speedup
@@ -1261,10 +1072,7 @@ let e15 () =
         speedup)
       programs
   in
-  let geomean =
-    exp (List.fold_left (fun a r -> a +. log r) 0.0 ratios
-         /. float_of_int (List.length ratios))
-  in
+  let geomean = Harness.geomean ratios in
   record ~exp:"e15" ~name:"geomean-speedup" ~value:geomean ~unit_:"ratio";
   Printf.printf
     "geomean speedup (software TLB over full bus routing): %.2fx\n" geomean;
@@ -1280,20 +1088,8 @@ let e16 () =
   section "E16"
     "superblock traces: hot chained paths recompiled as guarded traces";
   let fuel = 2_000_000 in
-  let on_cfg = Machine.default_config in
-  let off_cfg = { Machine.default_config with Machine.superblocks = false } in
-  (* min-of-3 wall clock, as in E13 *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let t1 = once () in
-    let t2 = once () in
-    let t3 = once () in
-    List.fold_left min t1 [ t2; t3 ]
-  in
+  let sb_on = Harness.engine "superblocks" in
+  let sb_off = Harness.engine "lowered" in
   (* the compute/branchy suite: loop-dominated kernels whose hot paths
      chain (the trace layer's target); branchy is the adversarial case
      with biased condition ladders and side paths *)
@@ -1312,64 +1108,19 @@ let e16 () =
         (* correctness gate before timing: traces on must be
            digest-identical (cycles and mtime included) to every other
            engine configuration *)
-        let finish ?(instrument = ignore) config =
-          let m = Machine.create ~config () in
-          instrument m;
-          S4e_asm.Program.load_machine p m;
-          ignore (Machine.run m ~fuel);
-          m
+        let r =
+          Harness.gate ~exp:"E16" ~workload:name ~fuel ~reference:sb_on
+            Engines.all p
         in
-        let m_ref = finish on_cfg in
-        let d_ref = Machine.state_digest ~include_time:true m_ref in
-        List.iter
-          (fun (ename, config, instrument) ->
-            let m = finish ~instrument config in
-            if Machine.state_digest ~include_time:true m <> d_ref then
-              failwith
-                (Printf.sprintf "E16: %s digest mismatch on %s" ename name))
-          [ ("sb-off", off_cfg, ignore);
-            ("sb-off tlb-off", { off_cfg with Machine.mem_tlb = false },
-             ignore);
-            ("unchained", { off_cfg with Machine.chain_blocks = false },
-             ignore);
-            ("hooked", on_cfg, attach_noop_hooks);
-            ("single-step", { off_cfg with Machine.use_tb_cache = false },
-             ignore) ];
-        let n1 = Machine.instret m_ref in
-        (* steady-state rep sizing, as in E13: reset keeps RAM and the
-           warm TB cache — and with it the promoted traces *)
-        let reps = max 1 (200_000 / max n1 1) in
-        let run config () =
-          let m = Machine.create ~config () in
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          ignore (Machine.run m ~fuel);
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel)
-          done;
-          m
+        (* reset between reps keeps RAM and the warm TB cache — and with
+           it the promoted traces *)
+        let[@warning "-8"] [ off; on ] =
+          Harness.steady ~reps:(Harness.reps r.Harness.instrs) ~fuel
+            [ sb_off; sb_on ] p
         in
-        let n =
-          let m = Machine.create ~config:on_cfg () in
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          let tot = ref 0 in
-          ignore (Machine.run m ~fuel);
-          tot := !tot + Machine.instret m;
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel);
-            tot := !tot + Machine.instret m
-          done;
-          !tot
-        in
-        let mips t = float_of_int n /. t /. 1e6 in
-        let t_off = time (fun () -> ignore (run off_cfg ())) in
-        let t_on = time (fun () -> ignore (run on_cfg ())) in
-        (* trace behavior over the same rep sequence *)
-        let m_on = run on_cfg () in
-        let st = Option.get (Machine.trace_stats m_on) in
+        let n = (fst on).Harness.instrs in
+        (* trace behavior over the timed rep sequence *)
+        let st = Option.get (Machine.trace_stats (fst on).Harness.machine) in
         let traced_pct =
           pct (float_of_int st.S4e_cpu.Superblock.sb_instrs
                /. float_of_int (max 1 n))
@@ -1385,15 +1136,16 @@ let e16 () =
           float_of_int st.S4e_cpu.Superblock.sb_instrs
           /. float_of_int (max 1 st.S4e_cpu.Superblock.sb_execs)
         in
-        let speedup = t_off /. t_on in
+        let speedup = snd off /. snd on in
         Printf.printf
           "%-10s %10d %9.2f %9.2f %7d %6.1f%% %7.1f%% %7.1f %6.2fx\n" name n
-          (mips t_off) (mips t_on) st.S4e_cpu.Superblock.sb_promotions
-          traced_pct bail_pct per_run speedup;
-        record ~exp:"e16" ~name:(name ^ "/sb-off-mips") ~value:(mips t_off)
-          ~unit_:"MIPS";
-        record ~exp:"e16" ~name:(name ^ "/sb-on-mips") ~value:(mips t_on)
-          ~unit_:"MIPS";
+          (Harness.mips off) (Harness.mips on)
+          st.S4e_cpu.Superblock.sb_promotions traced_pct bail_pct per_run
+          speedup;
+        record ~exp:"e16" ~name:(name ^ "/sb-off-mips")
+          ~value:(Harness.mips off) ~unit_:"MIPS";
+        record ~exp:"e16" ~name:(name ^ "/sb-on-mips")
+          ~value:(Harness.mips on) ~unit_:"MIPS";
         record ~exp:"e16" ~name:(name ^ "/traced-instr-share")
           ~value:traced_pct ~unit_:"%";
         record ~exp:"e16" ~name:(name ^ "/speedup") ~value:speedup
@@ -1401,10 +1153,7 @@ let e16 () =
         speedup)
       programs
   in
-  let geomean =
-    exp (List.fold_left (fun a r -> a +. log r) 0.0 ratios
-         /. float_of_int (List.length ratios))
-  in
+  let geomean = Harness.geomean ratios in
   record ~exp:"e16" ~name:"geomean-speedup" ~value:geomean ~unit_:"ratio";
   Printf.printf
     "geomean speedup (superblock traces over the chained engine): %.2fx\n"
@@ -1422,18 +1171,7 @@ let e17 () =
   section "E17"
     "device plane: DMA-burst vs PIO throughput over the event wheel";
   let fuel = 10_000_000 in
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let t1 = once () in
-    let t2 = once () in
-    let t3 = once () in
-    List.fold_left min t1 [ t2; t3 ]
-  in
-  let on_cfg = Machine.default_config in
+  let plane_on = Harness.engine "superblocks" in
   (* the I/O workloads: identical 32 KiB payload moved as 8 DMA bursts
      (interrupt-driven) vs 32768 per-byte RXDATA reads, plus the vnet
      rx driver as the mixed ring-service case *)
@@ -1452,49 +1190,16 @@ let e17 () =
         (* correctness gate before timing: the device plane must be
            digest-identical (cycles and mtime included) on every
            engine configuration *)
-        let finish ?(instrument = ignore) config =
-          let m = Machine.create ~config () in
-          instrument m;
-          S4e_asm.Program.load_machine p m;
-          ignore (Machine.run m ~fuel);
-          m
+        let r =
+          Harness.gate ~exp:"E17" ~workload:name ~fuel ~reference:plane_on
+            Engines.all p
         in
-        let m_ref = finish on_cfg in
-        let d_ref = Machine.state_digest ~include_time:true m_ref in
-        let off_cfg = { on_cfg with Machine.superblocks = false } in
-        List.iter
-          (fun (ename, config, instrument) ->
-            let m = finish ~instrument config in
-            if Machine.state_digest ~include_time:true m <> d_ref then
-              failwith
-                (Printf.sprintf "E17: %s digest mismatch on %s" ename name))
-          [ ("sb-off", off_cfg, ignore);
-            ("sb-off tlb-off", { off_cfg with Machine.mem_tlb = false },
-             ignore);
-            ("unchained", { off_cfg with Machine.chain_blocks = false },
-             ignore);
-            ("hooked", on_cfg, attach_noop_hooks);
-            ("single-step", { off_cfg with Machine.use_tb_cache = false },
-             ignore) ];
-        let n1 = Machine.instret m_ref in
-        let reps = max 1 (400_000 / max n1 1) in
-        let run () =
-          let m = Machine.create ~config:on_cfg () in
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          ignore (Machine.run m ~fuel);
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel)
-          done;
-          m
-        in
-        let t = time (fun () -> ignore (run ())) in
-        let m = run () in
-        let ws = S4e_soc.Event_wheel.stats m.Machine.wheel in
-        let n = n1 * reps in
-        let mips = float_of_int n /. t /. 1e6 in
-        let rate = float_of_int (bytes * reps) /. t in
+        let n1 = r.Harness.instrs in
+        let reps = Harness.reps ~min_instrs:400_000 n1 in
+        let[@warning "-8"] [ s ] = Harness.steady ~reps ~fuel [ plane_on ] p in
+        let ws = S4e_soc.Event_wheel.stats (fst s).Harness.machine.Machine.wheel in
+        let mips = Harness.mips s in
+        let rate = float_of_int (bytes * reps) /. snd s in
         Printf.printf "%-10s %9d %8.2f %8dB %10.2f %8d %9d\n" name n1 mips
           bytes (rate /. 1e6) ws.S4e_soc.Event_wheel.ws_fired
           ws.S4e_soc.Event_wheel.ws_idle_skips;
@@ -1519,48 +1224,30 @@ let e17 () =
       Workloads.bubble_sort; Workloads.matmul; Workloads.crc32 ]
     |> List.map (fun w -> (w.Workloads.w_name, Workloads.program w))
   in
-  let off_cfg = { on_cfg with Machine.device_plane = false } in
+  let plane_off =
+    Engines.make "device plane off"
+      { plane_on.Engines.config with Machine.device_plane = false }
+  in
   let ratios =
     List.map
       (fun (name, p) ->
-        let m0 = Machine.create ~config:on_cfg () in
-        S4e_asm.Program.load_machine p m0;
-        ignore (Machine.run m0 ~fuel);
-        let n1 = Machine.instret m0 in
-        (* larger sample than the throughput table: the guard compares
-           two runs that should differ by under 2%, so each measurement
-           must sit well above timer/scheduler noise *)
-        let reps = max 2 (2_000_000 / max n1 1) in
-        let run config () =
-          let m = Machine.create ~config () in
-          S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-          ignore (Machine.run m ~fuel);
-          for _ = 2 to reps do
-            Machine.reset m ~pc:entry;
-            ignore (Machine.run m ~fuel)
-          done
+        let n1 = (Harness.run ~fuel plane_on p).Harness.instrs in
+        (* larger sample than the throughput table, and min of 9: the
+           two arms differ by under 2% when the host is quiet, so a
+           single 40ms sample grazing a scheduler hiccup — or a
+           host-speed drift — must not swing the ratio past the 10%
+           hard gate below *)
+        let reps = Harness.reps ~min_instrs:2_000_000 ~min_reps:2 n1 in
+        let[@warning "-8"] [ off; on ] =
+          Harness.steady ~n:9 ~reps ~fuel [ plane_off; plane_on ] p
         in
-        (* best-of-3 per arm, samples interleaved: the two runs differ
-           by under 2% when the host is quiet, so a single 40ms sample
-           grazing a scheduler hiccup — or a host-speed drift between
-           the off block and the on block — can swing the ratio past
-           the 10% hard gate below *)
-        let t_off = ref infinity and t_on = ref infinity in
-        for _ = 1 to 3 do
-          t_off := Float.min !t_off (time (run off_cfg));
-          t_on := Float.min !t_on (time (run on_cfg))
-        done;
-        let r = !t_off /. !t_on in
+        let r = snd off /. snd on in
         record ~exp:"e17" ~name:(name ^ "/devplane-mips-ratio") ~value:r
           ~unit_:"ratio";
         r)
       compute
   in
-  let geomean =
-    exp (List.fold_left (fun a r -> a +. log r) 0.0 ratios
-         /. float_of_int (List.length ratios))
-  in
+  let geomean = Harness.geomean ratios in
   record ~exp:"e17" ~name:"compute-guard-geomean" ~value:geomean
     ~unit_:"ratio";
   Printf.printf
@@ -1590,18 +1277,10 @@ let e18 () =
   let module Obs = S4e_obs in
   let fuel = 1_000_000 in
   let cfg = Machine.default_config in
-  (* min-of-5 wall clock, as in E14 *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let best = ref (once ()) in
-    for _ = 2 to 5 do
-      best := min !best (once ())
-    done;
-    !best
+  let plain = Engines.make "plain" cfg in
+  let recorded =
+    Engines.make "recorder" cfg ~instrument:(fun m ->
+        Machine.set_recorder m (Some (Obs.Flight_recorder.create ())))
   in
   let programs =
     [ Workloads.mix; Workloads.dhrystone ]
@@ -1612,52 +1291,27 @@ let e18 () =
   Printf.printf "%-10s %9s %9s %10s\n" "" "(MIPS)" "(MIPS)" "(overhd)";
   List.iter
     (fun (name, p) ->
-      let n1 =
-        let m = Machine.create ~config:cfg () in
-        S4e_asm.Program.load_machine p m;
-        ignore (Machine.run m ~fuel);
-        Machine.instret m
+      let reps = Harness.reps (Harness.run ~fuel plain p).Harness.instrs in
+      (* hard inertness gate: an armed recorder must leave the plain
+         run's stop reason and state digest *)
+      ignore
+        (Harness.gate ~reps ~exp:"E18" ~workload:name ~fuel ~reference:plain
+           [ recorded ] p
+          : Harness.run);
+      (* min of 5, as in E14: the overhead is a small delta *)
+      let[@warning "-8"] [ tp; tr ] =
+        Harness.steady ~n:5 ~reps ~fuel [ plain; recorded ] p
       in
-      let reps = max 1 (200_000 / max n1 1) in
-      let run instrument () =
-        let m = Machine.create ~config:cfg () in
-        instrument m;
-        S4e_asm.Program.load_machine p m;
-        let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
-        ignore (Machine.run m ~fuel);
-        for _ = 2 to reps do
-          Machine.reset m ~pc:entry;
-          ignore (Machine.run m ~fuel)
-        done;
-        m
-      in
-      let n = reps * n1 in
-      let mips t = float_of_int n /. t /. 1e6 in
-      let with_recorder m =
-        Machine.set_recorder m (Some (Obs.Flight_recorder.create ()))
-      in
-      (* hard inertness gate: an armed recorder must be digest-identical
-         to the plain run (stop reason and counters are covered by the
-         differential tests; the digest covers the architectural state) *)
-      let d_plain =
-        Machine.state_digest ~include_time:true (run ignore ())
-      in
-      let m_rec = run with_recorder () in
-      if Machine.state_digest ~include_time:true m_rec <> d_plain then
-        failwith
-          (Printf.sprintf "E18: recorder digest mismatch on %s" name);
-      (match Machine.recorder m_rec with
+      (match Machine.recorder (fst tr).Harness.machine with
       | Some r when Obs.Flight_recorder.length r > 0 -> ()
       | _ -> failwith "E18: armed recorder captured nothing");
-      let tp = time (fun () -> ignore (run ignore ())) in
-      let tr = time (fun () -> ignore (run with_recorder ())) in
-      let ovh = pct ((tr /. tp) -. 1.0) in
-      Printf.printf "%-10s %9.2f %9.2f %9.1f%%\n" name (mips tp) (mips tr)
-        ovh;
-      record ~exp:"e18" ~name:(name ^ "/plain-mips") ~value:(mips tp)
+      let ovh = pct ((snd tr /. snd tp) -. 1.0) in
+      Printf.printf "%-10s %9.2f %9.2f %9.1f%%\n" name (Harness.mips tp)
+        (Harness.mips tr) ovh;
+      record ~exp:"e18" ~name:(name ^ "/plain-mips") ~value:(Harness.mips tp)
         ~unit_:"MIPS";
-      record ~exp:"e18" ~name:(name ^ "/recorded-mips") ~value:(mips tr)
-        ~unit_:"MIPS";
+      record ~exp:"e18" ~name:(name ^ "/recorded-mips")
+        ~value:(Harness.mips tr) ~unit_:"MIPS";
       record ~exp:"e18" ~name:(name ^ "/record-overhead") ~value:ovh
         ~unit_:"%")
     programs;
@@ -1677,31 +1331,14 @@ let e19 () =
      scaling";
   let module Smp = S4e_torture.Smp in
   let module Torture = S4e_torture.Torture in
-  let sb_off c = { c with Machine.superblocks = false } in
-  let engines =
-    [ ("lowered", sb_off Machine.default_config, ignore);
-      ("unchained", sb_off { Machine.default_config with
-                             Machine.chain_blocks = false }, ignore);
-      ("hooked", Machine.default_config, attach_noop_hooks);
-      ("single-step", sb_off { Machine.default_config with
-                               Machine.use_tb_cache = false }, ignore);
-      ("tlb-off", sb_off { Machine.default_config with
-                           Machine.mem_tlb = false }, ignore);
-      ("superblocks", Machine.default_config, ignore) ]
-  in
-  let digest_of ?(include_time = true) ?(include_instret = true)
-      ?(instrument = ignore) config p ~fuel =
-    let m = Machine.create ~config () in
-    instrument m;
-    S4e_asm.Program.load_machine p m;
-    (match Machine.run m ~fuel with
+  let reference = Harness.engine "superblocks" in
+  let exited what (r : Harness.run) =
+    match r.stop with
     | Machine.Exited _ -> ()
     | stop ->
         failwith
-          (Format.asprintf "E19: unexpected stop: %a" Machine.pp_stop_reason
-             stop));
-    ( Digest.to_hex (Machine.state_digest ~include_time ~include_instret m),
-      Machine.instret m )
+          (Format.asprintf "E19: %s: unexpected stop: %a" what
+             Machine.pp_stop_reason stop)
   in
   (* 1. single-hart anchor: a fixed torture program's full digest must
      agree across every engine AND match the value recorded when the
@@ -1711,18 +1348,18 @@ let e19 () =
      semantics drift fails here even if all engines drift together. *)
   let golden = "eec064a6561fdec58438cc2bf2bc983b" in
   let anchor_cfg = Torture.default_config in
-  let anchor = Torture.generate anchor_cfg in
-  let anchor_fuel = Torture.fuel_bound anchor_cfg in
-  List.iter
-    (fun (name, config, instrument) ->
-      let d, _ = digest_of ~instrument config anchor ~fuel:anchor_fuel in
-      if d <> golden then
-        failwith
-          (Printf.sprintf "E19: single-hart digest drift on %s: %s <> %s"
-             name d golden))
-    engines;
+  let r =
+    Harness.gate ~exp:"E19" ~workload:"the single-hart anchor"
+      ~fuel:(Torture.fuel_bound anchor_cfg) ~reference Engines.all
+      (Torture.generate anchor_cfg)
+  in
+  exited "single-hart anchor" r;
+  let d = Digest.to_hex (Harness.digest r.Harness.machine) in
+  if d <> golden then
+    failwith
+      (Printf.sprintf "E19: single-hart digest drift: %s <> %s" d golden);
   Printf.printf "single-hart anchor: %s on all %d engines\n" golden
-    (List.length engines);
+    (List.length Engines.all);
   (* 2. SMP digest gates at 2 and 4 harts: every engine agrees on the
      full digest at the default slice, and the digest is invariant
      under the scheduler's slice size (full digest for the IPI ring,
@@ -1734,38 +1371,29 @@ let e19 () =
       let fuel = Smp.fuel ~harts ~rounds:8 in
       List.iter
         (fun (wname, p) ->
+          let workload = Printf.sprintf "%s@%d harts" wname harts in
           let with_harts ?(slice = 1024) config =
             { config with Machine.harts; Machine.hart_slice = slice }
           in
-          let reference, _ =
-            digest_of (with_harts Machine.default_config) p ~fuel
-          in
-          List.iter
-            (fun (name, config, instrument) ->
-              let d, _ = digest_of ~instrument (with_harts config) p ~fuel in
-              if d <> reference then
-                failwith
-                  (Printf.sprintf "E19: %s@%d harts: engine %s diverges"
-                     wname harts name))
-            engines;
+          exited workload
+            (Harness.gate ~map:with_harts ~exp:"E19" ~workload ~fuel
+               ~reference Engines.all p);
           let relaxed = String.length wname >= 8
                         && String.sub wname 0 8 = "smp-spin" in
-          let rd slice =
-            let d, _ =
-              digest_of
-                ~include_time:(not relaxed) ~include_instret:(not relaxed)
-                (with_harts ~slice Machine.default_config) p ~fuel
-            in
-            d
+          let digest m =
+            Machine.state_digest ~include_time:(not relaxed)
+              ~include_instret:(not relaxed) m
           in
-          let r0 = rd (List.hd slices) in
-          List.iter
-            (fun slice ->
-              if rd slice <> r0 then
-                failwith
-                  (Printf.sprintf "E19: %s@%d harts: slice %d diverges"
-                     wname harts slice))
-            (List.tl slices);
+          let[@warning "-8"] (s0 :: rest) =
+            List.map
+              (fun slice ->
+                Engines.make (Printf.sprintf "slice %d" slice)
+                  (with_harts ~slice Machine.default_config))
+              slices
+          in
+          exited workload
+            (Harness.gate ~digest ~exp:"E19" ~workload ~fuel ~reference:s0
+               rest p);
           Printf.printf
             "%-18s %d harts: engine-invariant, slice-invariant%s\n" wname
             harts (if relaxed then " (time/instret masked)" else ""))
@@ -1773,47 +1401,35 @@ let e19 () =
     [ 2; 4 ];
   (* 3. scaling: aggregate simulated MIPS of the spinlock workload as
      hart count grows (the host is one thread; this measures scheduler
-     and coherence overhead, not parallel speedup) *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let best = ref (once ()) in
-    for _ = 2 to 5 do
-      best := min !best (once ())
-    done;
-    !best
+     and coherence overhead, not parallel speedup).  Min of 5: each
+     sample is one short run, no rep loop. *)
+  let rounds = 256 in
+  let counts = [ 1; 2; 4 ] in
+  let samples =
+    Harness.time ~n:5
+      (List.map
+         (fun harts ->
+           let _, p = Smp.spinlock ~harts ~rounds in
+           let e =
+             Engines.make "spinlock"
+               { Machine.default_config with Machine.harts }
+           in
+           fun () -> Harness.run ~fuel:(Smp.fuel ~harts ~rounds) e p)
+         counts)
   in
   Printf.printf "%-10s %12s %10s\n" "harts" "instructions" "MIPS";
-  List.iter
-    (fun harts ->
-      let rounds = 256 in
-      let _, p = Smp.spinlock ~harts ~rounds in
-      let fuel = Smp.fuel ~harts ~rounds in
-      let config =
-        { Machine.default_config with Machine.harts }
-      in
-      let run () =
-        let m = Machine.create ~config () in
-        S4e_asm.Program.load_machine p m;
-        (match Machine.run m ~fuel with
-        | Machine.Exited 0 -> ()
-        | stop ->
-            failwith
-              (Format.asprintf "E19: scaling run stopped: %a"
-                 Machine.pp_stop_reason stop));
-        Machine.instret m
-      in
-      let n = run () in
-      let t = time (fun () -> ignore (run ())) in
-      let mips = float_of_int n /. t /. 1e6 in
-      Printf.printf "%-10d %12d %10.2f\n" harts n mips;
+  List.iter2
+    (fun harts ((r, _) as s) ->
+      if r.Harness.stop <> Machine.Exited 0 then
+        failwith
+          (Format.asprintf "E19: scaling run stopped: %a"
+             Machine.pp_stop_reason r.Harness.stop);
+      let mips = Harness.mips s in
+      Printf.printf "%-10d %12d %10.2f\n" harts r.Harness.instrs mips;
       record ~exp:"e19"
         ~name:(Printf.sprintf "spinlock-%d-harts/mips" harts) ~value:mips
         ~unit_:"MIPS")
-    [ 1; 2; 4 ];
+    counts samples;
   Printf.printf
     "(deterministic round-robin over fuel slices; stores invalidate \
      translated code on every hart and break other harts' reservations; \

@@ -14,21 +14,28 @@ let read_file path =
   close_in ic;
   s
 
-(* Accept either assembly source or a binary image (by magic). *)
+(* Accept either assembly source or a binary image (by magic).  A
+   fleet worker must survive a job whose program does not load — the
+   shard fails, not the process — so this reports instead of exiting. *)
+let try_assemble path =
+  match (try Ok (read_file path) with Sys_error e -> Error e) with
+  | Error e -> Error e
+  | Ok content ->
+      if String.length content >= 4 && String.sub content 0 4 = "S4EP" then
+        Result.map_error
+          (fun m -> path ^ ": malformed image: " ^ m)
+          (S4e_asm.Program.of_bytes content)
+      else
+        Result.map_error
+          (fun e -> Format.asprintf "%s: %a" path S4e_asm.Assembler.pp_error e)
+          (S4e_asm.Assembler.assemble content)
+
 let assemble_file path =
-  let content = read_file path in
-  if String.length content >= 4 && String.sub content 0 4 = "S4EP" then
-    match S4e_asm.Program.of_bytes content with
-    | Ok p -> p
-    | Error m ->
-        Format.eprintf "%s: malformed image: %s@." path m;
-        exit 1
-  else
-    match S4e_asm.Assembler.assemble content with
-    | Ok p -> p
-    | Error e ->
-        Format.eprintf "%s: %a@." path S4e_asm.Assembler.pp_error e;
-        exit 1
+  match try_assemble path with
+  | Ok p -> p
+  | Error e ->
+      prerr_endline e;
+      exit 1
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.s"
@@ -658,21 +665,14 @@ let fault_cmd =
   let action file mutants seed blind rerun fuel jobs trace_events metrics
       progress journal resume shard timeout triage triage_out =
     let p = assemble_file file in
-    let engine =
-      if rerun then S4e_fault.Campaign.rerun_engine
-      else S4e_fault.Campaign.default_engine
-    in
-    let engine = { engine with S4e_fault.Campaign.eng_timeout_s = timeout } in
     let cfg =
-      { S4e_core.Flows.default_fault_config with
-        S4e_core.Flows.ff_seed = seed; ff_mutants = mutants;
-        ff_blind = blind;
-        ff_fuel = Option.value fuel ~default:10_000_000;
-        ff_hang_budget =
-          (match fuel with
-          | Some _ -> S4e_core.Flows.Hang_fuel
-          | None -> S4e_core.Flows.Hang_auto);
-        ff_engine = engine }
+      S4e_core.Flows.fault_config_of_flags ~seed ~mutants ~blind ~fuel ~rerun
+    in
+    let cfg =
+      { cfg with
+        S4e_core.Flows.ff_engine =
+          { cfg.S4e_core.Flows.ff_engine with
+            S4e_fault.Campaign.eng_timeout_s = timeout } }
     in
     let sink = Option.map (fun _ -> S4e_obs.Trace_events.create ()) trace_events in
     let reg = Option.map (fun _ -> S4e_obs.Metrics.create ()) metrics in
@@ -988,50 +988,20 @@ let serve_cmd =
     Term.(const action $ listen_arg $ ttl_arg $ journal_dir_arg
           $ metrics_arg $ quiet_arg)
 
-(* Non-exiting variant of [assemble_file]: a worker must survive a job
-   whose program does not assemble — the shard fails, not the
-   process. *)
-let try_assemble path =
-  match (try Ok (read_file path) with Sys_error e -> Error e) with
-  | Error e -> Error e
-  | Ok content ->
-      if String.length content >= 4 && String.sub content 0 4 = "S4EP" then
-        Result.map_error
-          (fun m -> path ^ ": malformed image: " ^ m)
-          (S4e_asm.Program.of_bytes content)
-      else (
-        match S4e_asm.Assembler.assemble content with
-        | Ok p -> Ok p
-        | Error e ->
-            Error (Format.asprintf "%s: %a" path S4e_asm.Assembler.pp_error e))
-
-(* The job spec -> campaign config mapping mirrors the [fault]
-   subcommand's defaults exactly, so a fleet run of a spec and a local
-   [s4e fault] with the same flags classify identically. *)
+(* A job spec carries [s4e fault]'s flags, with the same defaults. *)
 let fleet_spec_campaign spec =
   let module J = Fleet.Json in
   match J.mem_str "program" spec with
   | None -> Error "spec: missing program"
   | Some path ->
-      let fuel = J.mem_int "fuel" spec in
-      let engine =
-        if J.mem_str "engine" spec = Some "rerun" then
-          S4e_fault.Campaign.rerun_engine
-        else S4e_fault.Campaign.default_engine
-      in
       Ok
         ( path,
-          { S4e_core.Flows.default_fault_config with
-            S4e_core.Flows.ff_seed =
-              Option.value (J.mem_int "seed" spec) ~default:1;
-            ff_mutants = Option.value (J.mem_int "mutants" spec) ~default:100;
-            ff_blind = Option.value (J.mem_bool "blind" spec) ~default:false;
-            ff_fuel = Option.value fuel ~default:10_000_000;
-            ff_hang_budget =
-              (match fuel with
-              | Some _ -> S4e_core.Flows.Hang_fuel
-              | None -> S4e_core.Flows.Hang_auto);
-            ff_engine = engine } )
+          S4e_core.Flows.fault_config_of_flags
+            ~seed:(Option.value (J.mem_int "seed" spec) ~default:1)
+            ~mutants:(Option.value (J.mem_int "mutants" spec) ~default:100)
+            ~blind:(Option.value (J.mem_bool "blind" spec) ~default:false)
+            ~fuel:(J.mem_int "fuel" spec)
+            ~rerun:(J.mem_str "engine" spec = Some "rerun") )
 
 let worker_cmd =
   let name_arg =

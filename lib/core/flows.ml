@@ -206,6 +206,15 @@ let default_fault_config =
     ff_hang_budget = Hang_fuel; ff_blind = false;
     ff_engine = S4e_fault.Campaign.default_engine }
 
+let fault_config_of_flags ~seed ~mutants ~blind ~fuel ~rerun =
+  { default_fault_config with
+    ff_seed = seed; ff_mutants = mutants; ff_blind = blind;
+    ff_fuel = Option.value fuel ~default:10_000_000;
+    ff_hang_budget = (match fuel with Some _ -> Hang_fuel | None -> Hang_auto);
+    ff_engine =
+      (if rerun then S4e_fault.Campaign.rerun_engine
+       else S4e_fault.Campaign.default_engine) }
+
 type fault_flow_result = {
   ff_summary : S4e_fault.Campaign.summary;
   ff_results : (S4e_fault.Fault.t * S4e_fault.Campaign.outcome) list;

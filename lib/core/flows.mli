@@ -124,6 +124,14 @@ val default_fault_config : fault_flow_config
 (** seed 1, 100 mutants, GPR+code+data, both kinds, fuel 1M,
     [Hang_fuel], guided, {!S4e_fault.Campaign.default_engine}. *)
 
+val fault_config_of_flags :
+  seed:int -> mutants:int -> blind:bool -> fuel:int option -> rerun:bool ->
+  fault_flow_config
+(** [s4e fault]'s flags as a campaign (a fleet job spec carries the
+    same flags): [fuel] given means [Hang_fuel] on that budget,
+    otherwise a 10M golden budget and [Hang_auto]; [rerun] selects
+    {!S4e_fault.Campaign.rerun_engine}. *)
+
 type fault_flow_result = {
   ff_summary : S4e_fault.Campaign.summary;
   ff_results : (S4e_fault.Fault.t * S4e_fault.Campaign.outcome) list;
@@ -192,8 +200,9 @@ val fault_flow :
   fault_flow_config ->
   S4e_asm.Program.t ->
   fault_flow_result
-(** [jobs] overrides [cfg.ff_engine.eng_jobs]; outcomes are identical
-    for every [jobs] value and unaffected by any telemetry option.
+(** [jobs] (default 1) is the number of worker domains; outcomes are
+    identical for every [jobs] value and unaffected by any telemetry
+    option.
     [metrics]/[trace] are forwarded to {!S4e_fault.Campaign.run} (the
     flow adds [golden+coverage], [generate], and [campaign] spans
     around the campaign's own events).  [progress] (default off) prints

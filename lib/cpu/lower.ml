@@ -21,8 +21,9 @@ type ctx = {
 }
 
 (* Width/sign dispatch for loads and stores, hoisted to translate
-   time.  Shared with the superblock trace compiler so both engines
-   trap and truncate identically. *)
+   time, with the misalignment traps.  The superblock trace compiler
+   has its own raw accessors ([Superblock.raw_load]/[raw_store]) and
+   checks alignment against a per-width mask instead. *)
 let load_fn bus op =
   match op with
   | LB -> fun addr -> Bits.sext ~width:8 (Bus.read8 bus addr)

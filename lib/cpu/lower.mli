@@ -38,16 +38,6 @@ type ctx = {
           or mutate time): flush batched cycles first *)
 }
 
-val load_fn : S4e_mem.Bus.t -> S4e_isa.Instr.op_load -> word -> word
-(** Width/sign-dispatched load with the architectural misalignment
-    check baked in; shared with the superblock trace compiler. *)
-
-val store_fn : S4e_mem.Bus.t -> S4e_isa.Instr.op_store -> word -> word -> unit
-(** Width-dispatched store with the misalignment check baked in. *)
-
-val lower_instr :
-  ctx -> pc:word -> size:int -> S4e_isa.Instr.t -> Tb_cache.uop
-
 val lower_entry :
   ?wrap:(Tb_cache.entry -> int -> (unit -> int) -> unit -> int) ->
   ctx ->

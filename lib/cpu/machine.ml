@@ -4,13 +4,10 @@ module Soc = S4e_soc
 
 type word = int
 
-type decoder_kind = Hand_decoder | Decodetree_decoder
-
 type config = {
   isa : Isa_module.t list;
   timing : Timing_model.t;
   use_tb_cache : bool;
-  decoder : decoder_kind;
   chain_blocks : bool;
   mem_tlb : bool;
   superblocks : bool;
@@ -30,8 +27,7 @@ type config = {
 
 let default_config =
   { isa = [ Isa_module.I; M; A; F; C; Zicsr; B ];
-    timing = Timing_model.default; use_tb_cache = true;
-    decoder = Decodetree_decoder; chain_blocks = true;
+    timing = Timing_model.default; use_tb_cache = true; chain_blocks = true;
     mem_tlb = true; superblocks = true; device_plane = true;
     harts = 1; hart_slice = 1024 }
 
@@ -124,36 +120,19 @@ exception Stop of stop_reason
 
 module Sset = Set.Make (String)
 
-let full_isa = [ Isa_module.I; M; A; F; C; Zicsr; B ]
-
+(* The Decodetree decoder; a machine with a subset of the ISA compiles
+   a tree of that subset's rows only. *)
 let make_decoder config =
-  let is_full =
-    List.for_all (fun m -> List.mem m config.isa) full_isa
-  in
-  let base =
-    match config.decoder with
-    | Hand_decoder -> Decode.decode
-    | Decodetree_decoder ->
-        if is_full then Decodetree.decode (Decodetree.rv32 ())
-        else
-          let allowed = Sset.of_list (Isa_module.universe config.isa) in
-          let rows =
-            List.filter
-              (fun r -> Sset.mem r.Decodetree.name allowed)
-              Decodetree.rv32_rows
-          in
-          Decodetree.decode (Decodetree.compile rows)
-  in
-  match config.decoder with
-  | Decodetree_decoder -> base
-  | Hand_decoder ->
-      if is_full then base
-      else
-        let allowed = Sset.of_list (Isa_module.universe config.isa) in
-        fun w ->
-          match base w with
-          | Some i when Sset.mem (Instr.mnemonic i) allowed -> Some i
-          | Some _ | None -> None
+  if List.for_all (fun m -> List.mem m config.isa) default_config.isa then
+    Decodetree.decode (Decodetree.rv32 ())
+  else
+    let allowed = Sset.of_list (Isa_module.universe config.isa) in
+    let rows =
+      List.filter
+        (fun r -> Sset.mem r.Decodetree.name allowed)
+        Decodetree.rv32_rows
+    in
+    Decodetree.decode (Decodetree.compile rows)
 
 (* Interrupt pending bits in mip. *)
 let msip_bit = 1 lsl 3

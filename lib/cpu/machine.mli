@@ -2,9 +2,9 @@
     platform devices.
 
     A machine bundles per-hart architectural state, the system bus with
-    the {!S4e_soc.Memory_map} devices, the instrumentation {!Hooks}, a
-    configurable decoder, a translation-block cache per hart, and the
-    timing model.  [run] executes until software exits through the
+    the {!S4e_soc.Memory_map} devices, the instrumentation {!Hooks}, the
+    Decodetree-generated decoder, a translation-block cache per hart,
+    and the timing model.  [run] executes until software exits through the
     syscon, a fatal trap occurs, fuel runs out, or every hart would
     sleep forever in WFI.
 
@@ -22,13 +22,10 @@
 
 type word = S4e_bits.Bits.word
 
-type decoder_kind = Hand_decoder | Decodetree_decoder
-
 type config = {
   isa : S4e_isa.Isa_module.t list;
   timing : Timing_model.t;
   use_tb_cache : bool;
-  decoder : decoder_kind;
   chain_blocks : bool;
       (** patch direct successor links between blocks ({!Tb_cache.next}) *)
   mem_tlb : bool;

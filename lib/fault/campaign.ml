@@ -156,13 +156,31 @@ let classify ~(golden : signature) m stop =
   | Machine.Fatal_trap _ -> Crashed
   | Machine.Out_of_fuel | Machine.Wfi_halt -> Hung
 
-let run_one ?config ~fuel program ~golden fault =
+(* [Machine.run] in bounded slices, polling an absolute wall-clock
+   [deadline]; past it the run stops as if out of fuel. *)
+let rec run_until ?deadline ?(on_timeout = ignore) m ~fuel =
+  match deadline with
+  | None -> Machine.run m ~fuel
+  | Some d when Unix.gettimeofday () >= d ->
+      on_timeout ();
+      Machine.Out_of_fuel
+  | Some _ -> (
+      let step = min fuel 65_536 in
+      match Machine.run m ~fuel:step with
+      | Machine.Out_of_fuel when step < fuel ->
+          run_until ?deadline ~on_timeout m ~fuel:(fuel - step)
+      | stop -> stop)
+
+(* The from-reset run of one mutant on a fresh machine: {!run_one}, and
+   the campaign engine's second-chance retry. *)
+let run_from_reset ?config ?deadline ?on_timeout ~fuel program ~golden fault =
   let m = run_machine ?config program in
+  let run fuel = run_until ?deadline ?on_timeout m ~fuel in
   let run_armed fuel =
     let armed = Injector.arm m fault in
-    let stop = Machine.run m ~fuel in
-    Injector.disarm m armed;
-    stop
+    Fun.protect
+      ~finally:(fun () -> Injector.disarm m armed)
+      (fun () -> run fuel)
   in
   let stop =
     match fault.Fault.kind with
@@ -178,29 +196,27 @@ let run_one ?config ~fuel program ~golden fault =
            to the same instruction everywhere, which is what makes
            engine and rerun classifications comparable at all. *)
         match run_armed n with
-        | Machine.Out_of_fuel -> Machine.run m ~fuel:(fuel - n)
+        | Machine.Out_of_fuel -> run (fuel - n)
         | stop -> stop)
     | _ -> run_armed fuel
   in
   classify ~golden m stop
 
+let run_one ?config ~fuel program ~golden fault =
+  run_from_reset ?config ~fuel program ~golden fault
+
 (* ---------------- the campaign engine ---------------- *)
 
 type engine = {
-  eng_jobs : int;
   eng_fork : bool;
   eng_checkpoint : int;
-  eng_escape : bool;
   eng_timeout_s : float;
 }
 
 let default_engine =
-  { eng_jobs = 1; eng_fork = true; eng_checkpoint = 1024; eng_escape = false;
-    eng_timeout_s = 0.0 }
+  { eng_fork = true; eng_checkpoint = 1024; eng_timeout_s = 0.0 }
 
-let rerun_engine =
-  { eng_jobs = 1; eng_fork = false; eng_checkpoint = 0; eng_escape = false;
-    eng_timeout_s = 0.0 }
+let rerun_engine = { eng_fork = false; eng_checkpoint = 0; eng_timeout_s = 0.0 }
 
 (* ---------------- sharding ---------------- *)
 
@@ -243,15 +259,13 @@ let clint_lo = S4e_soc.Memory_map.clint_base
 let clint_hi = S4e_soc.Memory_map.clint_base + 0x10000
 
 (* The golden run's checkpoint trace: state digests at every [interval]
-   retired instructions, the executed-pc range, and the golden run's
-   own classification (what a run that never diverges must be).  Each
-   checkpoint keeps the time-dependent counters next to the relaxed
-   digest so the guard can apply either strictness. *)
+   retired instructions and the golden run's own classification (what a
+   run that never diverges must be).  Each checkpoint keeps the
+   time-dependent counters next to the relaxed digest so the guard can
+   apply either strictness. *)
 type trace = {
   tr_interval : int;
   tr_digests : (int, int * string * int * int) Hashtbl.t;
-  tr_code_lo : int;
-  tr_code_hi : int;
   tr_strict : bool;
   tr_outcome : outcome;
 }
@@ -260,8 +274,6 @@ let collect_trace ?config ~fuel ~interval ~golden program =
   let m = run_machine ?config program in
   let st = m.Machine.state in
   let digests = Hashtbl.create 64 in
-  let lo = ref max_int in
-  let hi = ref 0 in
   let timed = ref false in
   let mem_id =
     Hooks.on_mem m.Machine.hooks (fun ev ->
@@ -269,9 +281,7 @@ let collect_trace ?config ~fuel ~interval ~golden program =
         if a >= clint_lo && a < clint_hi then timed := true)
   in
   let id =
-    Hooks.on_insn m.Machine.hooks (fun pc instr ->
-        if pc < !lo then lo := pc;
-        if pc + 4 > !hi then hi := pc + 4;
+    Hooks.on_insn m.Machine.hooks (fun _ instr ->
         (match instr with
         | S4e_isa.Instr.Wfi -> timed := true
         | S4e_isa.Instr.Csr (_, _, csr, _) when is_time_csr csr ->
@@ -291,8 +301,6 @@ let collect_trace ?config ~fuel ~interval ~golden program =
   Hooks.unregister m.Machine.hooks mem_id;
   { tr_interval = interval;
     tr_digests = digests;
-    tr_code_lo = (if !lo = max_int then 0 else !lo);
-    tr_code_hi = !hi;
     tr_strict = !timed;
     tr_outcome = classify ~golden m stop }
 
@@ -360,21 +368,8 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
     | None -> false
     | Some d -> Unix.gettimeofday () >= d
   in
-  (* [Machine.run] in bounded slices so the deadline is polled even on
-     engines that never pause for checkpoints. *)
-  let rec run_deadline m ~dl ~fuel =
-    match dl with
-    | None -> Machine.run m ~fuel
-    | Some _ when deadline_hit dl ->
-        bump tel.tel_timeouts;
-        Machine.Out_of_fuel
-    | Some _ ->
-        let step = min fuel 65_536 in
-        (match Machine.run m ~fuel:step with
-        | Machine.Out_of_fuel when step < fuel ->
-            run_deadline m ~dl ~fuel:(fuel - step)
-        | stop -> stop)
-  in
+  let on_timeout () = bump tel.tel_timeouts in
+  let run_deadline m ~dl ~fuel = run_until ?deadline:dl ~on_timeout m ~fuel in
   (* Convergence test at a checkpoint boundary ([st.instret] a multiple
      of the trace interval).  The cheap fingerprint is checked every
      time, but the full digest (an MD5 over memory, ~20us) is
@@ -411,12 +406,6 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
     let interval = tr.tr_interval in
     let next_full = ref 0 in
     let stride = ref 1 in
-    let escaped () =
-      engine.eng_escape
-      && st.Arch_state.mtvec = 0
-      && (st.Arch_state.pc < tr.tr_code_lo
-         || st.Arch_state.pc >= tr.tr_code_hi)
-    in
     let rec go budget =
       let ir = st.Arch_state.instret in
       if budget <= 0 then classify ~golden m Machine.Out_of_fuel
@@ -432,7 +421,6 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
         bump tel.tel_early;
         tr.tr_outcome
       end
-      else if escaped () then Crashed
       else begin
         let next_ck =
           let c = ((ir / interval) + 1) * interval in
@@ -461,24 +449,8 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
      malformed fault, a snapshot seam gone wrong) must not cost the
      mutant its classification if the plain path still works. *)
   let retry_naive fault =
-    let dl = deadline () in
-    let m2 = run_machine ?config program in
-    let run_armed budget =
-      let armed = Injector.arm m2 fault in
-      Fun.protect
-        ~finally:(fun () -> Injector.disarm m2 armed)
-        (fun () -> run_deadline m2 ~dl ~fuel:budget)
-    in
-    let stop =
-      match fault.Fault.kind with
-      | Fault.Transient n when n < fuel -> (
-          (* same injection-boundary segmentation as [run_one] *)
-          match run_armed n with
-          | Machine.Out_of_fuel -> run_deadline m2 ~dl ~fuel:(fuel - n)
-          | stop -> stop)
-      | _ -> run_armed fuel
-    in
-    classify ~golden m2 stop
+    run_from_reset ?config ?deadline:(deadline ()) ~on_timeout ~fuel program
+      ~golden fault
   in
   let run_faulty ~slot ~budget ~inert_at ~orig fault =
     (* The convergence guard only applies to transients: stuck-at
@@ -645,7 +617,7 @@ let task_chunks = 16
    defaulted. *)
 let run_indexed ?config ?(engine = default_engine) ?jobs ?metrics ?trace:sink
     ?on_progress ?on_result ?cancelled ~fuel program ~golden ifaults =
-  let jobs = max 1 (Option.value jobs ~default:engine.eng_jobs) in
+  let jobs = max 1 (Option.value jobs ~default:1) in
   match ifaults with
   | [] -> []
   | _ ->

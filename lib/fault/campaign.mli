@@ -85,8 +85,6 @@ type trace = {
   tr_digests : (int, int * string * int * int) Hashtbl.t;
       (** instret -> (cheap fingerprint, time-relaxed state digest,
           cycle, CLINT mtime) *)
-  tr_code_lo : int;
-  tr_code_hi : int;  (** executed-pc range; [tr_code_hi] exclusive *)
   tr_strict : bool;
       (** the golden run observes time, so convergence must also match
           cycle and mtime *)
@@ -107,7 +105,7 @@ val collect_trace :
     [run] executes a whole fault list through a tunable engine that is
     fast along three independent axes:
 
-    - {b domain parallelism} ([eng_jobs] / [?jobs]): the fault list is
+    - {b domain parallelism} ([?jobs], default 1): the fault list is
       split into a fixed number of chunks (a function of the list only,
       never of [jobs]) executed by a {!S4e_par.Par_pool}, each chunk on
       a private machine.  Results are reassembled in input order, so
@@ -132,11 +130,6 @@ val collect_trace :
       access) the comparison ignores the cycle and mtime counters:
       a reconverged run whose only residue is a skewed cycle counter —
       the common case after a perturbed branch — still exits early.
-      [eng_escape] additionally classifies a run as [Crashed] when a
-      checkpoint pause finds the pc outside the golden code range with
-      trap handling uninstalled ([mtvec = 0]); this is a heuristic
-      (such a run could in principle wander back) and is therefore off
-      by default.
 
     Caveat: forking, burst pauses, and early exit change where
     interrupts are sampled (translation-block boundaries shift at
@@ -147,14 +140,10 @@ val collect_trace :
     literal re-run-from-reset semantics of {!run_one}. *)
 
 type engine = {
-  eng_jobs : int;  (** worker domains; overridden by [?jobs] *)
   eng_fork : bool;  (** fork transients off golden snapshots *)
   eng_checkpoint : int;
       (** golden digest interval in retired instructions; [0] disables
           the trace and with it all early exits *)
-  eng_escape : bool;
-      (** heuristic early [Crashed] when pc escapes the golden code
-          range with [mtvec = 0]; requires [eng_checkpoint > 0] *)
   eng_timeout_s : float;
       (** wall-clock budget per mutant, a second hang defense behind the
           fuel budget; a mutant over its deadline is classified like
@@ -165,8 +154,8 @@ type engine = {
 }
 
 val default_engine : engine
-(** [jobs = 1], fork on, checkpoint every 1024 instructions, escape
-    heuristic off, no wall-clock timeout. *)
+(** Fork on, checkpoint every 1024 instructions, no wall-clock
+    timeout. *)
 
 val rerun_engine : engine
 (** The naive baseline: every fault re-runs from reset with no trace —
@@ -221,8 +210,8 @@ val run :
   Fault.t list ->
   (Fault.t * outcome) list
 (** Simulates every fault and pairs it with its outcome, in input
-    order ({!run_indexed} over [List.mapi]).  [?jobs] overrides
-    [engine.eng_jobs].
+    order ({!run_indexed} over [List.mapi]).  [?jobs] (default 1) is
+    the number of worker domains.
 
     Telemetry (all optional, none changes outcomes):
     - [metrics] receives the counters [campaign.mutants],

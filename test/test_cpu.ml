@@ -620,9 +620,9 @@ patch:
   let blocks = (S4e_cpu.Tb_cache.stats tb).S4e_cpu.Tb_cache.st_blocks in
   Alcotest.(check bool) "unrelated blocks survive" true (blocks >= 2)
 
-let test_decoder_configs_agree () =
-  (* the same torture program must produce identical results under all
-     four decoder/TB-cache configurations *)
+let test_tb_cache_configs_agree () =
+  (* the same torture program must produce identical results with and
+     without the TB cache *)
   let p =
     S4e_torture.Torture.generate
       { S4e_torture.Torture.default_config with seed = 99 }
@@ -634,14 +634,8 @@ let test_decoder_configs_agree () =
     (stop, Machine.instret m)
   in
   let combos =
-    [ { Machine.default_config with Machine.use_tb_cache = true;
-        decoder = Machine.Decodetree_decoder };
-      { Machine.default_config with Machine.use_tb_cache = false;
-        decoder = Machine.Decodetree_decoder };
-      { Machine.default_config with Machine.use_tb_cache = true;
-        decoder = Machine.Hand_decoder };
-      { Machine.default_config with Machine.use_tb_cache = false;
-        decoder = Machine.Hand_decoder } ]
+    [ Machine.default_config;
+      { Machine.default_config with Machine.use_tb_cache = false } ]
   in
   match List.map run combos with
   | first :: rest ->
@@ -1137,8 +1131,8 @@ let () =
             test_fence_i_self_modifying;
           Alcotest.test_case "page-granular invalidation" `Quick
             test_page_granular_invalidation;
-          Alcotest.test_case "decoder configs agree" `Quick
-            test_decoder_configs_agree;
+          Alcotest.test_case "tb-cache configs agree" `Quick
+            test_tb_cache_configs_agree;
           Alcotest.test_case "restricted ISA traps" `Quick
             test_restricted_isa_traps;
           Alcotest.test_case "tb cache stats" `Quick test_tb_cache_stats;

@@ -16,6 +16,7 @@
 module Machine = S4e_cpu.Machine
 module Hooks = S4e_cpu.Hooks
 module Torture = S4e_torture.Torture
+module Engines = S4e_torture.Engines
 module Flight_recorder = S4e_obs.Flight_recorder
 
 let prop ?(count = 25) name gen f =

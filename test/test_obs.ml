@@ -11,6 +11,7 @@ module Metrics = S4e_obs.Metrics
 module Trace_events = S4e_obs.Trace_events
 module Profile = S4e_obs.Profile
 module Torture = S4e_torture.Torture
+module Engines = S4e_torture.Engines
 module Flows = S4e_core.Flows
 
 let prop ?(count = 10) name gen f =

@@ -16,6 +16,7 @@ module Arch_state = S4e_cpu.Arch_state
 module Csr = S4e_isa.Csr
 module Isa_module = S4e_isa.Isa_module
 module Smp = S4e_torture.Smp
+module Engines = S4e_torture.Engines
 module Torture = S4e_torture.Torture
 
 let prop ?(count = 15) name gen f =

@@ -52,15 +52,15 @@ let props =
   [ prop "every seed terminates via the syscon" seed_gen (fun seed ->
         let _, _, stop = run_cfg { Torture.default_config with seed } in
         match stop with Machine.Exited _ -> true | _ -> false);
-    prop "determinism across decoder configs" seed_gen (fun seed ->
+    prop "determinism across TB-cache configs" seed_gen (fun seed ->
         let p = Torture.generate { Torture.default_config with seed } in
         let run config =
           let m = Machine.create ~config () in
           S4e_asm.Program.load_machine p m;
           (Machine.run m ~fuel:100_000, Machine.instret m)
         in
-        run { Machine.default_config with Machine.decoder = Machine.Hand_decoder }
-        = run { Machine.default_config with Machine.decoder = Machine.Decodetree_decoder });
+        run Machine.default_config
+        = run { Machine.default_config with Machine.use_tb_cache = false });
     prop ~count:15 "RV32I-only config emits only I instructions" seed_gen
       (fun seed ->
         let cfg =
