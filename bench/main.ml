@@ -24,13 +24,7 @@ let record ~exp ~name ~value ~unit_ =
   metrics := (exp, name, value, unit_) :: !metrics
 
 let write_json path =
-  let esc s =
-    String.concat ""
-      (List.map
-         (function
-           | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
+  let esc = S4e_obs.Json.escape in
   let rows =
     List.rev_map
       (fun (exp, name, value, unit_) ->
@@ -1441,7 +1435,7 @@ let e19 () =
 let e20 () =
   section "E20" "campaign fleet: shard-leasing workers vs one process";
   let module F = S4e_fleet in
-  let module J = F.Json in
+  let module J = S4e_obs.Json in
   let module Fault = S4e_fault.Fault in
   let module Campaign = S4e_fault.Campaign in
   let module Journal = S4e_fault.Journal in

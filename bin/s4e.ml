@@ -815,7 +815,7 @@ let merge_journals_cmd =
                  conflict or incompleteness.")
   in
   let action files out json =
-    let module J = S4e_fleet.Json in
+    let module J = S4e_obs.Json in
     let fail fmt =
       Printf.ksprintf
         (fun msg ->
@@ -990,7 +990,7 @@ let serve_cmd =
 
 (* A job spec carries [s4e fault]'s flags, with the same defaults. *)
 let fleet_spec_campaign spec =
-  let module J = Fleet.Json in
+  let module J = S4e_obs.Json in
   match J.mem_str "program" spec with
   | None -> Error "spec: missing program"
   | Some path ->
@@ -1118,14 +1118,14 @@ let fleet_request client ~meth ~path ?body () =
       if status < 200 || status > 299 then begin
         Format.eprintf "s4e: HTTP %d: %s@." status
           (Option.value
-             (Fleet.Json.mem_str "error" reply)
-             ~default:(Fleet.Json.to_string reply));
+             (S4e_obs.Json.mem_str "error" reply)
+             ~default:(S4e_obs.Json.to_string reply));
         exit 1
       end;
       reply
 
 let summary_of_json v =
-  let module J = Fleet.Json in
+  let module J = S4e_obs.Json in
   let field k = Option.value (J.mem_int k v) ~default:0 in
   { S4e_fault.Campaign.masked = field "masked"; sdc = field "sdc";
     crashed = field "crashed"; hung = field "hung";
@@ -1164,7 +1164,7 @@ let submit_cmd =
            ~doc:"Status poll interval with --wait.")
   in
   let action file connect mutants seed fuel blind rerun shards wait poll =
-    let module J = Fleet.Json in
+    let module J = S4e_obs.Json in
     if shards <= 0 then begin
       Format.eprintf "submit: --shards must be positive@.";
       exit 1
@@ -1246,7 +1246,7 @@ let jobs_cmd =
            ~doc:"Print the orchestrator's JSON status verbatim.")
   in
   let action connect id json =
-    let module J = Fleet.Json in
+    let module J = S4e_obs.Json in
     let client = Fleet.Client.create (fleet_addr connect) in
     let path =
       match id with Some id -> "/api/jobs/" ^ id | None -> "/api/jobs"

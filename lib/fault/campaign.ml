@@ -992,55 +992,32 @@ let top_sites records =
   |> List.sort (fun (p1, c1) (p2, c2) ->
          match compare c2 c1 with 0 -> compare p1 p2 | c -> c)
 
-(* JSONL rendering, same hand-rolled discipline as {!Journal}: one
-   object per line, escapes that cover everything the disassembler and
-   [Fault.to_string] can produce. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let triage_to_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"index\":%d,\"fault\":\"%s\",\"outcome\":\"%s\",\"diverged\":%b,\
-        \"instret\":%d,\"golden_pc\":\"0x%08x\",\"mutant_pc\":\"0x%08x\",\
-        \"insn\":\"%s\",\"reg_diffs\":["
-       t.tg_index
-       (json_escape (Fault.to_string t.tg_fault))
-       (outcome_name t.tg_outcome) t.tg_diverged t.tg_instret t.tg_golden_pc
-       t.tg_mutant_pc (json_escape t.tg_insn));
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"reg\":\"%s\",\"golden\":\"0x%x\",\"mutant\":\"0x%x\"}"
-           (json_escape d.rd_name) d.rd_golden d.rd_mutant))
-    t.tg_reg_diffs;
-  Buffer.add_string b
-    (Printf.sprintf "],\"mem_diff\":%b,\"mip_golden\":%d,\"mip_mutant\":%d,\"tail\":["
-       t.tg_mem_diff t.tg_mip_golden t.tg_mip_mutant);
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape line);
-      Buffer.add_char b '"')
-    t.tg_tail;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let hex fmt v = J.String (Printf.sprintf fmt v) in
+  J.to_string
+    (J.Obj
+       [ ("index", J.Int t.tg_index);
+         ("fault", J.String (Fault.to_string t.tg_fault));
+         ("outcome", J.String (outcome_name t.tg_outcome));
+         ("diverged", J.Bool t.tg_diverged);
+         ("instret", J.Int t.tg_instret);
+         ("golden_pc", hex "0x%08x" t.tg_golden_pc);
+         ("mutant_pc", hex "0x%08x" t.tg_mutant_pc);
+         ("insn", J.String t.tg_insn);
+         ("reg_diffs",
+          J.List
+            (List.map
+               (fun d ->
+                 J.Obj
+                   [ ("reg", J.String d.rd_name);
+                     ("golden", hex "0x%x" d.rd_golden);
+                     ("mutant", hex "0x%x" d.rd_mutant) ])
+               t.tg_reg_diffs));
+         ("mem_diff", J.Bool t.tg_mem_diff);
+         ("mip_golden", J.Int t.tg_mip_golden);
+         ("mip_mutant", J.Int t.tg_mip_mutant);
+         ("tail", J.List (List.map (fun l -> J.String l) t.tg_tail)) ])
 
 let pp_triage fmt t =
   Format.fprintf fmt "#%d %s -> %s: %s at instret=%d pc=0x%08x (%s)"

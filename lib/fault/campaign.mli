@@ -299,7 +299,8 @@ val top_sites : triage_record list -> (int * int) list
     most frequent first (ties broken by ascending pc). *)
 
 val triage_to_json : triage_record -> string
-(** One JSON object on one line (JSONL), schema:
+(** One JSON object on one line (JSONL), rendered by
+    {!S4e_obs.Json} with keys in this order:
     [{"index":int, "fault":string, "outcome":string, "diverged":bool,
     "instret":int, "golden_pc":"0x…", "mutant_pc":"0x…", "insn":string,
     "reg_diffs":[{"reg":string,"golden":"0x…","mutant":"0x…"}],

@@ -1,4 +1,5 @@
 module Obs = S4e_obs
+module Json = S4e_obs.Json
 module Program = S4e_asm.Program
 
 type header = {
@@ -22,130 +23,58 @@ let header_of ?(shard = (0, 1)) ~seed ~total program =
 
 (* ---------------- the line format ---------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let header_line h =
   let i, n = h.j_shard in
-  Printf.sprintf
-    "{\"s4e_journal\":1,\"seed\":%d,\"total\":%d,\"shard\":\"%d/%d\",\
-     \"program\":\"%s\"}"
-    h.j_seed h.j_total i n (escape h.j_program)
+  Json.to_string
+    (Json.Obj
+       [ ("s4e_journal", Json.Int 1);
+         ("seed", Json.Int h.j_seed);
+         ("total", Json.Int h.j_total);
+         ("shard", Json.String (Printf.sprintf "%d/%d" i n));
+         ("program", Json.String h.j_program) ])
 
 let record_line r =
-  let base =
-    Printf.sprintf "{\"i\":%d,\"fault\":\"%s\",\"outcome\":\"%s\"" r.r_index
-      (escape (Fault.to_string r.r_fault))
-      (Campaign.outcome_name r.r_outcome)
+  let error =
+    match r.r_outcome with
+    | Campaign.Errored e -> [ ("error", Json.String e) ]
+    | _ -> []
   in
-  match r.r_outcome with
-  | Campaign.Errored e -> Printf.sprintf "%s,\"error\":\"%s\"}" base (escape e)
-  | _ -> base ^ "}"
+  Json.to_string
+    (Json.Obj
+       ([ ("i", Json.Int r.r_index);
+          ("fault", Json.String (Fault.to_string r.r_fault));
+          ("outcome", Json.String (Campaign.outcome_name r.r_outcome)) ]
+       @ error))
 
-(* Minimal field extraction over the fixed single-line objects this
-   module emits — not a general JSON parser, and it need not be: a
-   journal is only ever read back by this module. *)
+type line = Header of header | Record of record
 
-let index_of s pat =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = pat then Some i
-    else go (i + 1)
+let header_of_json v =
+  let shard =
+    match Option.map (String.split_on_char '/') (Json.mem_str "shard" v) with
+    | Some [ i; n ] -> (
+        match (int_of_string_opt i, int_of_string_opt n) with
+        | Some i, Some n -> Some (i, n)
+        | _ -> None)
+    | _ -> None
   in
-  go 0
-
-let after_key line key =
-  Option.map
-    (fun i -> i + String.length key + 3)
-    (index_of line (Printf.sprintf "\"%s\":" key))
-
-let field_int line key =
-  match after_key line key with
-  | None -> None
-  | Some i ->
-      let n = String.length line in
-      let j = ref i in
-      if !j < n && line.[!j] = '-' then incr j;
-      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
-        incr j
-      done;
-      if !j = i then None else int_of_string_opt (String.sub line i (!j - i))
-
-let field_string line key =
-  match after_key line key with
-  | None -> None
-  | Some i when i >= String.length line || line.[i] <> '"' -> None
-  | Some i ->
-      let n = String.length line in
-      let b = Buffer.create 16 in
-      let rec go j =
-        if j >= n then None
-        else
-          match line.[j] with
-          | '"' -> Some (Buffer.contents b)
-          | '\\' when j + 1 < n -> (
-              match line.[j + 1] with
-              | 'n' -> Buffer.add_char b '\n'; go (j + 2)
-              | 'r' -> Buffer.add_char b '\r'; go (j + 2)
-              | 't' -> Buffer.add_char b '\t'; go (j + 2)
-              | 'u' when j + 5 < n -> (
-                  match
-                    int_of_string_opt ("0x" ^ String.sub line (j + 2) 4)
-                  with
-                  | Some c ->
-                      Buffer.add_char b (Char.chr (c land 0xff));
-                      go (j + 6)
-                  | None -> None)
-              | c -> Buffer.add_char b c; go (j + 2))
-          | c -> Buffer.add_char b c; go (j + 1)
-      in
-      go (i + 1)
-
-let parse_header line =
-  if field_int line "s4e_journal" <> Some 1 then
+  if Json.mem_int "s4e_journal" v <> Some 1 then
     Error "journal: not a campaign journal (missing version header)"
   else
     match
-      ( field_int line "seed",
-        field_int line "total",
-        field_string line "shard",
-        field_string line "program" )
+      (Json.mem_int "seed" v, Json.mem_int "total" v, shard,
+       Json.mem_str "program" v)
     with
-    | Some seed, Some total, Some shard, Some program -> (
-        match String.split_on_char '/' shard with
-        | [ i; n ] -> (
-            match (int_of_string_opt i, int_of_string_opt n) with
-            | Some i, Some n ->
-                Ok
-                  { j_seed = seed;
-                    j_total = total;
-                    j_shard = (i, n);
-                    j_program = program }
-            | _ -> Error ("journal: bad shard field: " ^ shard))
-        | _ -> Error ("journal: bad shard field: " ^ shard))
+    | Some seed, Some total, Some shard, Some program ->
+        Ok
+          { j_seed = seed; j_total = total; j_shard = shard;
+            j_program = program }
     | _ -> Error "journal: malformed header line"
 
-let parse_record line =
+let record_of_json line v =
   match
-    ( field_int line "i",
-      field_string line "fault",
-      field_string line "outcome" )
+    (Json.mem_int "i" v, Json.mem_str "fault" v, Json.mem_str "outcome" v)
   with
-  | Some i, Some f, Some oc -> (
+  | Some i, Some f, Some oc when i >= 0 -> (
       match Fault.of_string f with
       | Error e -> Error ("journal: " ^ e)
       | Ok fault ->
@@ -158,7 +87,7 @@ let parse_record line =
             | "errored" ->
                 Ok
                   (Campaign.Errored
-                     (Option.value (field_string line "error") ~default:""))
+                     (Option.value (Json.mem_str "error" v) ~default:""))
             | _ -> Error ("journal: unknown outcome: " ^ oc)
           in
           Result.map
@@ -166,9 +95,26 @@ let parse_record line =
             outcome)
   | _ -> Error ("journal: malformed record: " ^ line)
 
+let parse_json line =
+  Result.map_error (fun e -> "journal: " ^ e) (Json.parse line)
+
+let parse_header line = Result.bind (parse_json line) header_of_json
+
+let parse_record line = Result.bind (parse_json line) (record_of_json line)
+
+let parse_line line =
+  Result.bind (parse_json line) (fun v ->
+      if Json.mem "s4e_journal" v <> None then
+        Result.map (fun h -> Header h) (header_of_json v)
+      else Result.map (fun r -> Record r) (record_of_json line v))
+
 (* ---------------- reading ---------------- *)
 
 let ( let* ) = Result.bind
+
+let sorted tbl =
+  Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
+  |> List.sort (fun a b -> compare a.r_index b.r_index)
 
 (* [good_len] is the byte offset just past the last newline-terminated
    line: a crash between a write and its flush can leave a torn final
@@ -207,11 +153,7 @@ let read_ex path =
          mutant whose record missed its fsync batch): last write wins *)
       let tbl = Hashtbl.create 64 in
       List.iter (fun r -> Hashtbl.replace tbl r.r_index r) (List.rev records);
-      let dedup =
-        Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
-        |> List.sort (fun a b -> compare a.r_index b.r_index)
-      in
-      Ok (header, dedup, good_len)
+      Ok (header, sorted tbl, good_len)
 
 let read path =
   let* h, rs, _ = read_ex path in
@@ -308,50 +250,54 @@ let append_to ?sink ~path header =
 
 (* ---------------- merging shards ---------------- *)
 
+let compatible a b =
+  if a.j_seed = b.j_seed && a.j_total = b.j_total && a.j_program = b.j_program
+  then Ok ()
+  else Error "merge: journals disagree on seed, total, or program"
+
 let outcome_key = function
   | Campaign.Errored _ -> "errored"
   | o -> Campaign.outcome_name o
 
+type merged = Fresh | Duplicate | Conflict of string
+
+let merge_record tbl r =
+  match Hashtbl.find_opt tbl r.r_index with
+  | None ->
+      Hashtbl.replace tbl r.r_index r;
+      Fresh
+  | Some prev
+    when Fault.compare prev.r_fault r.r_fault = 0
+         && outcome_key prev.r_outcome = outcome_key r.r_outcome ->
+      Duplicate
+  | Some prev ->
+      Conflict
+        (Printf.sprintf "merge: mutant %d classified both %s and %s"
+           r.r_index
+           (Campaign.outcome_name prev.r_outcome)
+           (Campaign.outcome_name r.r_outcome))
+
+let rec iter_ok f = function
+  | [] -> Ok ()
+  | x :: rest ->
+      let* () = f x in
+      iter_ok f rest
+
 let merge inputs =
   match inputs with
   | [] -> Error "merge: no journals given"
-  | (h0, _) :: rest ->
-      let compatible (h, _) =
-        h.j_seed = h0.j_seed && h.j_total = h0.j_total
-        && h.j_program = h0.j_program
-      in
-      if not (List.for_all compatible rest) then
-        Error "merge: journals disagree on seed, total, or program"
-      else
-        let tbl : (int, record) Hashtbl.t = Hashtbl.create 256 in
-        let conflict = ref None in
-        List.iter
+  | (h0, _) :: _ ->
+      let* () = iter_ok (fun (h, _) -> compatible h0 h) inputs in
+      let tbl = Hashtbl.create 256 in
+      let* () =
+        iter_ok
           (fun (_, records) ->
-            List.iter
+            iter_ok
               (fun r ->
-                match Hashtbl.find_opt tbl r.r_index with
-                | None -> Hashtbl.replace tbl r.r_index r
-                | Some prev
-                  when Fault.compare prev.r_fault r.r_fault = 0
-                       && outcome_key prev.r_outcome = outcome_key r.r_outcome
-                  ->
-                    ()
-                | Some prev ->
-                    if !conflict = None then
-                      conflict :=
-                        Some
-                          (Printf.sprintf
-                             "merge: mutant %d classified both %s and %s"
-                             r.r_index
-                             (Campaign.outcome_name prev.r_outcome)
-                             (Campaign.outcome_name r.r_outcome)))
+                match merge_record tbl r with
+                | Fresh | Duplicate -> Ok ()
+                | Conflict e -> Error e)
               records)
-          inputs;
-        (match !conflict with
-        | Some msg -> Error msg
-        | None ->
-            let records =
-              Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
-              |> List.sort (fun a b -> compare a.r_index b.r_index)
-            in
-            Ok ({ h0 with j_shard = (0, 1) }, records))
+          inputs
+      in
+      Ok ({ h0 with j_shard = (0, 1) }, sorted tbl)

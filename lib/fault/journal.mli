@@ -38,23 +38,34 @@ val is_complete : header -> record list -> bool
 
 (** {1 Line format}
 
-    The JSONL level of the format, exposed so the fleet layer can move
-    journal lines over the wire without depending on the engine: a
-    worker streams [record_line]s as the campaign classifies mutants,
-    and the orchestrator — which reads them as plain JSON — hands the
-    already-merged lines of a reclaimed shard back to the next holder,
-    which re-parses them here to resume. *)
+    One JSON object per line, built and parsed with {!S4e_obs.Json} and
+    owned by this module alone: the fleet server ingests streamed
+    lines, stores them as {!record}s and re-emits them through these
+    functions, so the bytes on disk, on the wire and in a resume
+    payload are one format.  Keys come in a fixed order with no
+    whitespace, so the output is canonical; the parsers accept any
+    valid JSON object with the right fields. *)
 
 val header_line : header -> string
-(** One line, no trailing newline — exactly what {!create} writes. *)
+(** One line, no trailing newline — exactly what {!create} writes:
+    [{"s4e_journal":1,"seed":S,"total":T,"shard":"I/N","program":"MD5"}]. *)
 
 val record_line : record -> string
+(** [{"i":I,"fault":F,"outcome":O}], with an ["error"] field last for
+    [Errored] outcomes. *)
 
 val parse_header : string -> (header, string) result
 (** Inverse of {!header_line}; rejects lines without the
     [s4e_journal] version field. *)
 
 val parse_record : string -> (record, string) result
+(** Inverse of {!record_line}; rejects a negative index, an
+    unparseable fault and an unknown outcome. *)
+
+type line = Header of header | Record of record
+
+val parse_line : string -> (line, string) result
+(** Either kind of line, told apart by the [s4e_journal] field. *)
 
 (** {1 Writing} *)
 
@@ -91,10 +102,25 @@ val read : string -> (header * record list, string) result
     sorted.  A torn final line is dropped silently; a malformed
     {e terminated} line is corruption and an error. *)
 
+(** {1 Merging}
+
+    The one merge rule, shared by {!merge} and the fleet server's live
+    merge: headers are compatible when seed, total and program agree
+    (shards differ); a record seen twice is a duplicate when fault and
+    outcome class agree ([Errored] messages may differ); anything else
+    is a conflict — the engine is deterministic per mutant. *)
+
+val compatible : header -> header -> (unit, string) result
+
+type merged = Fresh | Duplicate | Conflict of string
+
+val merge_record : (int, record) Hashtbl.t -> record -> merged
+(** Adds a record to a table keyed by mutant index; [Fresh] when it
+    was not there.  [Duplicate] and [Conflict] leave the table as it
+    was. *)
+
 val merge :
   (header * record list) list ->
   (header * record list, string) result
 (** Combines shard journals of one campaign into a single unsharded
-    record set.  Errors if the headers disagree on seed, total, or
-    program, or if two journals classify the same mutant index
-    differently (same-outcome overlap is tolerated). *)
+    record set, or the first incompatibility or conflict. *)

@@ -1,59 +1,7 @@
 module Obs = S4e_obs
-
-(* ---------------- journal-line interop ----------------
-
-   The server moves journal lines produced by S4e_fault.Journal but
-   depends only on unix/threads/s4e_obs, so it reads them as what they
-   are: single-line JSON objects.  The header regenerated for resume
-   grants reproduces Journal.header_line's exact format. *)
-
-type jheader = { jh_seed : int; jh_total : int; jh_program : string }
-
-type jrecord = {
-  jr_index : int;
-  jr_fault : string;  (* canonical Fault.to_string serialization *)
-  jr_outcome : string;  (* outcome name; "errored" collapses messages *)
-  jr_line : string;  (* the verbatim line, for journals and resume *)
-}
-
-type jline = Header of jheader | Record of jrecord
-
-let classify_line line =
-  match Json.parse line with
-  | Error e -> Error e
-  | Ok v -> (
-      if Json.mem "s4e_journal" v <> None then
-        match
-          ( Json.mem_int "seed" v,
-            Json.mem_int "total" v,
-            Json.mem_str "program" v )
-        with
-        | Some seed, Some total, Some program ->
-            Ok (Header { jh_seed = seed; jh_total = total; jh_program = program })
-        | _ -> Error "malformed journal header line"
-      else
-        match
-          ( Json.mem_int "i" v,
-            Json.mem_str "fault" v,
-            Json.mem_str "outcome" v )
-        with
-        | Some i, Some fault, Some outcome ->
-            Ok
-              (Record
-                 { jr_index = i; jr_fault = fault; jr_outcome = outcome;
-                   jr_line = line })
-        | _ -> Error "malformed journal record line")
-
-let header_line h ~shard:(i, n) =
-  Printf.sprintf
-    "{\"s4e_journal\":1,\"seed\":%d,\"total\":%d,\"shard\":\"%d/%d\",\
-     \"program\":\"%s\"}"
-    h.jh_seed h.jh_total i n (Json.escape h.jh_program)
-
-(* indices in [0, total) congruent to shard (mod count) *)
-let expected_in_shard ~total ~count shard =
-  let q = total / count and r = total mod count in
-  q + (if shard < r then 1 else 0)
+module Json = S4e_obs.Json
+module Journal = S4e_fault.Journal
+module Campaign = S4e_fault.Campaign
 
 (* ---------------- jobs ---------------- *)
 
@@ -73,8 +21,8 @@ type job = {
   j_created : float;
   mutable j_state : jstate;
   mutable j_finished : float option;
-  mutable j_header : jheader option;
-  j_records : (int, jrecord) Hashtbl.t;
+  mutable j_header : Journal.header option;
+  j_records : (int, Journal.record) Hashtbl.t;
   mutable j_have : int array;  (* fresh records per shard *)
   mutable j_dups : int;
   mutable j_journal : string option;  (* merged journal path, once written *)
@@ -208,49 +156,43 @@ let worker_stat t name =
 
 (* ---------------- job bookkeeping (caller holds the lock) -------- *)
 
-let job_summary j =
-  let masked = ref 0 and sdc = ref 0 and crashed = ref 0 in
-  let hung = ref 0 and errored = ref 0 in
-  Hashtbl.iter
-    (fun _ r ->
-      match r.jr_outcome with
-      | "masked" -> incr masked
-      | "sdc" -> incr sdc
-      | "crashed" -> incr crashed
-      | "hung" -> incr hung
-      | _ -> incr errored)
-    j.j_records;
-  Json.Obj
-    [ ("masked", Json.Int !masked); ("sdc", Json.Int !sdc);
-      ("crashed", Json.Int !crashed); ("hung", Json.Int !hung);
-      ("errored", Json.Int !errored);
-      ("total", Json.Int (Hashtbl.length j.j_records)) ]
-
 let sorted_records j =
   Hashtbl.fold (fun _ r acc -> r :: acc) j.j_records []
-  |> List.sort (fun a b -> compare a.jr_index b.jr_index)
+  |> List.sort (fun a b -> compare a.Journal.r_index b.Journal.r_index)
+
+let job_summary j =
+  let s =
+    Campaign.summarize
+      (Hashtbl.fold
+         (fun _ r acc -> (r.Journal.r_fault, r.Journal.r_outcome) :: acc)
+         j.j_records [])
+  in
+  Json.Obj
+    [ ("masked", Json.Int s.masked); ("sdc", Json.Int s.sdc);
+      ("crashed", Json.Int s.crashed); ("hung", Json.Int s.hung);
+      ("errored", Json.Int s.errors); ("total", Json.Int s.total) ]
 
 let write_journal t j ~partial =
   match (t.journal_dir, j.j_header) with
-  | Some dir, Some h when Hashtbl.length j.j_records > 0 || not partial ->
+  | Some dir, Some h when Hashtbl.length j.j_records > 0 || not partial -> (
       let path =
         Filename.concat dir
           (j.j_id ^ if partial then ".partial.jsonl" else ".jsonl")
       in
-      (try
-         let oc = open_out_bin path in
-         output_string oc (header_line h ~shard:(0, 1));
-         output_char oc '\n';
-         List.iter
-           (fun r ->
-             output_string oc r.jr_line;
-             output_char oc '\n')
-           (sorted_records j);
-         close_out oc;
-         if not partial then j.j_journal <- Some path;
-         t.log (Printf.sprintf "job %s: journal %s" j.j_id path)
-       with Sys_error e ->
-         t.log (Printf.sprintf "job %s: journal write failed: %s" j.j_id e))
+      let failed e =
+        t.log (Printf.sprintf "job %s: journal write failed: %s" j.j_id e)
+      in
+      match Journal.create ~path { h with Journal.j_shard = (0, 1) } with
+      | Error e -> failed e
+      | Ok w -> (
+          match
+            List.iter (Journal.write w) (sorted_records j);
+            Journal.close w
+          with
+          | () ->
+              if not partial then j.j_journal <- Some path;
+              t.log (Printf.sprintf "job %s: journal %s" j.j_id path)
+          | exception Sys_error e -> failed e))
   | _ -> ()
 
 let fail_job t j msg =
@@ -264,57 +206,51 @@ let fail_job t j msg =
 let maybe_finish t j =
   if j.j_state = Running && Lease.all_done j.j_lease then
     match j.j_header with
-    | Some h when Hashtbl.length j.j_records >= h.jh_total ->
+    | Some h when Hashtbl.length j.j_records >= h.Journal.j_total ->
         j.j_state <- Done;
         j.j_finished <- Some (t.clock ());
         bump t.c_jobs_done;
-        t.log (Printf.sprintf "job %s: done (%d records)" j.j_id h.jh_total);
+        t.log
+          (Printf.sprintf "job %s: done (%d records)" j.j_id h.Journal.j_total);
         write_journal t j ~partial:false
     | Some h ->
         fail_job t j
           (Printf.sprintf "all shards complete but only %d/%d records"
-             (Hashtbl.length j.j_records) h.jh_total)
+             (Hashtbl.length j.j_records) h.Journal.j_total)
     | None -> fail_job t j "all shards complete but no journal header seen"
 
-(* Merge one record under Journal.merge semantics: dedup identical
-   classifications, fail the job on a disagreement. *)
-let merge_record t j (r : jrecord) =
-  match Hashtbl.find_opt j.j_records r.jr_index with
-  | None ->
-      Hashtbl.replace j.j_records r.jr_index r;
-      if j.j_shards > 0 then begin
-        let s = r.jr_index mod j.j_shards in
-        j.j_have.(s) <- j.j_have.(s) + 1
-      end;
-      t.last_merge <- t.clock ();
-      `Fresh
-  | Some prev
-    when prev.jr_fault = r.jr_fault && prev.jr_outcome = r.jr_outcome ->
-      `Dup
-  | Some prev ->
-      fail_job t j
-        (Printf.sprintf "merge: mutant %d classified both %s and %s"
-           r.jr_index prev.jr_outcome r.jr_outcome);
-      `Conflict
-
-let merge_header t j (h : jheader) =
-  match j.j_header with
-  | None ->
-      if h.jh_total <= 0 then begin
-        fail_job t j "journal header with non-positive total";
-        `Conflict
-      end
+(* Live merge under Journal's rule: a record is merged only once its
+   job's header has been seen, so its index can be range-checked. *)
+let merge_line t j line =
+  match (line, j.j_header) with
+  | Journal.Header h, None ->
+      if h.Journal.j_total <= 0 then
+        Error "journal header with non-positive total"
       else begin
         j.j_header <- Some h;
-        `Fresh
+        Ok `Header
       end
-  | Some h0
-    when h0.jh_seed = h.jh_seed && h0.jh_total = h.jh_total
-         && h0.jh_program = h.jh_program ->
-      `Dup
-  | Some _ ->
-      fail_job t j "merge: journals disagree on seed, total, or program";
-      `Conflict
+  | Journal.Header h, Some h0 -> (
+      match Journal.compatible h0 h with
+      | Ok () -> Ok `Header
+      | Error e ->
+          fail_job t j e;
+          Ok `Conflict)
+  | Journal.Record _, None -> Error "record before the journal header"
+  | Journal.Record r, Some h
+    when r.Journal.r_index >= h.Journal.j_total ->
+      Error (Printf.sprintf "record index %d out of range" r.Journal.r_index)
+  | Journal.Record r, Some _ -> (
+      match Journal.merge_record j.j_records r with
+      | Journal.Fresh ->
+          let s = r.Journal.r_index mod j.j_shards in
+          j.j_have.(s) <- j.j_have.(s) + 1;
+          t.last_merge <- t.clock ();
+          Ok `Fresh
+      | Journal.Duplicate -> Ok `Dup
+      | Journal.Conflict e ->
+          fail_job t j e;
+          Ok `Conflict)
 
 (* ---------------- responses ---------------- *)
 
@@ -349,7 +285,7 @@ let job_status_json t j =
         ("duplicates", Json.Int j.j_dups);
         ("total",
          match j.j_header with
-         | Some h -> Json.Int h.jh_total
+         | Some h -> Json.Int h.Journal.j_total
          | None -> Json.Null);
         ("summary", job_summary j);
         ("age_s",
@@ -457,7 +393,8 @@ let handle_lease t body =
                        j.j_id shard j.j_shards worker lease_id);
                   let known =
                     sorted_records j
-                    |> List.filter (fun r -> r.jr_index mod j.j_shards = shard)
+                    |> List.filter (fun r ->
+                           r.Journal.r_index mod j.j_shards = shard)
                   in
                   let resume =
                     match (j.j_header, known) with
@@ -465,11 +402,13 @@ let handle_lease t body =
                         Json.Obj
                           [ ("header",
                              Json.String
-                               (header_line h ~shard:(shard, j.j_shards)));
+                               (Journal.header_line
+                                  { h with
+                                    Journal.j_shard = (shard, j.j_shards) }));
                             ("lines",
                              Json.List
                                (List.map
-                                  (fun r -> Json.String r.jr_line)
+                                  (fun r -> Json.String (Journal.record_line r))
                                   known)) ]
                     | _ -> Json.Null
                   in
@@ -513,78 +452,79 @@ let handle_renew t body =
               in
               respond (Json.Obj [ ("ok", Json.Bool ok) ]))
 
+let parse_lines lines =
+  List.fold_left
+    (fun acc line ->
+      Result.bind acc (fun acc ->
+          Result.map (fun l -> l :: acc) (Journal.parse_line line)))
+    (Ok []) lines
+  |> Result.map List.rev
+
+(* A batch is parsed whole before anything is merged: one malformed
+   line rejects the batch, so a lying peer's records are neither merged
+   nor counted and do not renew its lease. *)
 let handle_records t body =
   match parse_body body with
   | Error r -> r
-  | Ok v ->
-      locked t (fun () ->
-          match find_lease t v with
-          | Error r -> r
-          | Ok (j, lease) ->
-              let lines =
-                Option.value (Json.mem_list "lines" v) ~default:[]
-                |> List.filter_map Json.str
-              in
-              Option.iter
-                (fun h -> Obs.Metrics.observe h (List.length lines))
-                t.h_batch;
-              let now = t.clock () in
-              let lease_ok =
-                j.j_state = Running
-                && Lease.renew j.j_lease ~now ~ttl:t.ttl ~lease
-              in
-              if j.j_state <> Running then
-                (* done or failed: the records are no longer needed *)
-                respond
-                  (Json.Obj
-                     [ ("accepted", Json.Int 0);
-                       ("duplicates", Json.Int 0);
-                       ("lease_ok", Json.Bool false) ])
-              else begin
-                let worker =
-                  Option.value (Json.mem_str "worker" v) ~default:"anon"
-                in
-                let fresh = ref 0 and dups = ref 0 in
-                let bad = ref None in
-                List.iter
-                  (fun line ->
-                    if !bad = None && j.j_state = Running then
-                      match classify_line line with
-                      | Error e -> bad := Some e
-                      | Ok (Header h) -> (
-                          match merge_header t j h with
-                          | `Fresh | `Dup -> ()
-                          | `Conflict -> ())
-                      | Ok (Record r) -> (
-                          (match j.j_header with
-                          | Some h
-                            when r.jr_index < 0 || r.jr_index >= h.jh_total ->
-                              bad :=
-                                Some
-                                  (Printf.sprintf
-                                     "record index %d out of range" r.jr_index)
-                          | _ -> ());
-                          if !bad = None then
-                            match merge_record t j r with
-                            | `Fresh -> incr fresh
-                            | `Dup -> incr dups; j.j_dups <- j.j_dups + 1
-                            | `Conflict -> ()))
-                  lines;
-                bump_n t.c_records !fresh;
-                bump_n t.c_dups !dups;
-                let w = worker_stat t worker in
-                w.w_records <- w.w_records + !fresh;
-                w.w_last <- now;
-                match (!bad, j.j_state) with
-                | Some e, _ -> error_response 400 e
-                | None, Failed e -> error_response 409 e
-                | None, _ ->
+  | Ok v -> (
+      let lines =
+        Option.value (Json.mem_list "lines" v) ~default:[]
+        |> List.filter_map Json.str
+      in
+      Option.iter
+        (fun h -> Obs.Metrics.observe h (List.length lines))
+        t.h_batch;
+      match parse_lines lines with
+      | Error e -> error_response 400 e
+      | Ok parsed ->
+          locked t (fun () ->
+              match find_lease t v with
+              | Error r -> r
+              | Ok (j, lease) ->
+                  let now = t.clock () in
+                  let lease_ok =
+                    j.j_state = Running
+                    && Lease.renew j.j_lease ~now ~ttl:t.ttl ~lease
+                  in
+                  if j.j_state <> Running then
+                    (* done or failed: the records are no longer needed *)
                     respond
                       (Json.Obj
-                         [ ("accepted", Json.Int !fresh);
-                           ("duplicates", Json.Int !dups);
-                           ("lease_ok", Json.Bool lease_ok) ])
-              end)
+                         [ ("accepted", Json.Int 0);
+                           ("duplicates", Json.Int 0);
+                           ("lease_ok", Json.Bool false) ])
+                  else begin
+                    let worker =
+                      Option.value (Json.mem_str "worker" v) ~default:"anon"
+                    in
+                    let fresh = ref 0 and dups = ref 0 in
+                    let bad = ref None in
+                    List.iter
+                      (fun line ->
+                        if !bad = None && j.j_state = Running then
+                          match merge_line t j line with
+                          | Error e -> bad := Some e
+                          | Ok `Fresh -> incr fresh
+                          | Ok `Dup ->
+                              incr dups;
+                              j.j_dups <- j.j_dups + 1
+                          | Ok (`Header | `Conflict) -> ())
+                      parsed;
+                    bump_n t.c_records !fresh;
+                    bump_n t.c_dups !dups;
+                    let w = worker_stat t worker in
+                    w.w_records <- w.w_records + !fresh;
+                    w.w_last <- now;
+                    match (!bad, j.j_state) with
+                    | Some e, _ -> error_response 400 e
+                    | None, Failed e -> error_response 409 e
+                    | None, _ ->
+                        respond
+                          (Json.Obj
+                             [ ("accepted", Json.Int !fresh);
+                               ("duplicates", Json.Int !dups);
+                               ("lease_ok", Json.Bool lease_ok) ])
+                  end))
 
 let handle_complete t body =
   match parse_body body with
@@ -610,7 +550,8 @@ let handle_complete t body =
                     error_response 409 "no journal header streamed yet"
                 | Some s, Some h ->
                     let expected =
-                      expected_in_shard ~total:h.jh_total ~count:j.j_shards s
+                      Journal.expected_count
+                        { h with Journal.j_shard = (s, j.j_shards) }
                     in
                     if j.j_have.(s) < expected then
                       error_response 409

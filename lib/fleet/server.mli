@@ -4,8 +4,8 @@
     count — are submitted over a minimal HTTP/1.1 JSON API; workers
     pull shard {e leases} with expiry, stream classified-mutant journal
     lines back in batches, and complete their shards.  The server
-    merges the streamed records live under the exact
-    {!S4e_fault.Journal.merge} semantics: records are deduplicated by
+    merges the streamed records live under the one merge rule that
+    {!S4e_fault.Journal.merge} also uses: records are deduplicated by
     mutant index, and two shards disagreeing on a mutant's fault or
     outcome class fail the job (the engine is deterministic per mutant,
     so a disagreement means the workers did not run the same campaign).
@@ -13,11 +13,13 @@
     lease expires, the shard is re-leased, and the next holder receives
     the already-merged records of that shard to resume from.
 
-    The server understands journal lines only as JSON — it depends on
-    [unix]/[threads]/[s4e_obs] alone.  Workers produce the lines with
-    {!S4e_fault.Journal} via the {!S4e_core.Flows.fault_campaign}
-    streaming hook, and the merged journal files the server writes are
-    read back by [s4e merge-journals] unchanged.
+    Journal lines are parsed, merged and re-emitted by
+    {!S4e_fault.Journal} itself ({!S4e_fault.Journal.parse_line},
+    {!S4e_fault.Journal.merge_record}), so the server accepts exactly
+    the lines [s4e merge-journals] reads: a batch with a malformed line
+    is rejected whole with a 400.  The resume payloads it hands out and
+    the merged journal files it writes (fsync'd, through
+    {!S4e_fault.Journal.create}) are canonical journal bytes.
 
     {2 API}
 
@@ -34,7 +36,8 @@
       batches also renew.
     - [POST /api/records] [{"lease": id, "lines": [...]}] — stream
       journal lines (the header line is recognised and checked for
-      compatibility; record lines are merged).  Records are accepted
+      compatibility; record lines are merged once a header has been
+      seen).  Records are accepted
       even from a stale lease — they are valid work — but the reply's
       [lease_ok: false] tells the worker to stop.
     - [POST /api/complete], [POST /api/release] [{"lease": id}].

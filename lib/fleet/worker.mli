@@ -13,11 +13,11 @@
     lines already merged for this shard), an [emit] sink for fresh
     journal lines, and a [cancelled] poll it must check between
     mutants.  It is the binary's job to turn the spec into a
-    {!S4e_core.Flows.fault_campaign} call — this module stays free of
-    engine dependencies so it can be driven by fakes in tests. *)
+    {!S4e_core.Flows.fault_campaign} call — this module never calls the
+    engine, so it can be driven by fakes in tests. *)
 
 type runner =
-  spec:Json.t ->
+  spec:S4e_obs.Json.t ->
   shard:int * int ->
   resume:(string * string list) option ->
   emit:(string -> unit) ->

@@ -12,29 +12,15 @@ let create () =
 
 let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let args_json = function
   | [] -> "{}"
   | args ->
       "{"
       ^ String.concat ","
           (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v))
+             (fun (k, v) ->
+               Printf.sprintf "\"%s\":\"%s\"" (Json.escape k)
+                 (Json.escape v))
              args)
       ^ "}"
 
@@ -52,7 +38,8 @@ let complete t ?(args = []) ~name ~cat ~tid ~ts_us ~dur_us () =
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\
         \"ts\":%s,\"dur\":%s,\"args\":%s}"
-       (escape name) (escape cat) tid (us ts_us) (us (Float.max 0.0 dur_us))
+       (Json.escape name) (Json.escape cat) tid (us ts_us)
+       (us (Float.max 0.0 dur_us))
        (args_json args))
 
 let instant t ?(args = []) ~name ~cat ~tid () =
@@ -60,7 +47,7 @@ let instant t ?(args = []) ~name ~cat ~tid () =
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
         \"tid\":%d,\"ts\":%s,\"args\":%s}"
-       (escape name) (escape cat) tid
+       (Json.escape name) (Json.escape cat) tid
        (us (now_us t))
        (args_json args))
 
@@ -77,7 +64,7 @@ let thread_name t ~tid name =
       (Printf.sprintf
          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
           \"args\":{\"name\":\"%s\"}}"
-         tid (escape name))
+         tid (Json.escape name))
 
 let span t ?(args = []) ~name ~cat ?tid f =
   let tid =

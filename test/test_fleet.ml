@@ -5,7 +5,7 @@
    and resume merges to exactly the outcome set of the unsharded
    campaign. *)
 
-module Json = S4e_fleet.Json
+module Json = S4e_obs.Json
 module Http = S4e_fleet.Http
 module Lease = S4e_fleet.Lease
 module Server = S4e_fleet.Server
@@ -59,39 +59,58 @@ let test_json_parse_strictness () =
   Alcotest.(check bool) "escapes roundtrip" true
     (Json.parse "\"a\\n\\\"b\\u0041\"" = Ok (Json.String "a\n\"bA"))
 
+let test_json_depth_bound () =
+  let nest n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "64 levels parse" true (Result.is_ok (Json.parse (nest 64)));
+  Alcotest.(check bool) "65 levels rejected" true
+    (Result.is_error (Json.parse (nest 65)));
+  Alcotest.(check bool) "1 MB of '[' rejected" true
+    (Result.is_error (Json.parse (String.make 1_000_000 '[')))
+
+(* Journal bytes are pinned: these literals are what every earlier
+   build wrote, so they must stay what the writer emits, parse back to
+   the same values, and resume. *)
 let test_json_reads_journal_lines () =
-  (* the orchestrator merges journal lines as JSON: every line the
-     journal writer produces must be parseable by this module *)
+  let module F = S4e_fault.Fault in
   let h = { Journal.j_seed = 3; j_total = 10; j_shard = (1, 4);
             j_program = "abc123" } in
-  let fault = { S4e_fault.Fault.loc = S4e_fault.Fault.Gpr (7, 3);
-                kind = S4e_fault.Fault.Transient 42 } in
-  let lines =
-    [ Journal.header_line h;
-      Journal.record_line
-        { Journal.r_index = 5; r_fault = fault; r_outcome = Campaign.Sdc };
-      Journal.record_line
-        { Journal.r_index = 6; r_fault = fault;
-          r_outcome = Campaign.Errored "boom \"quoted\"\n" } ]
+  let errored =
+    { Journal.r_index = 5; r_fault = { F.loc = F.Gpr (7, 3); kind = F.Transient 42 };
+      r_outcome = Campaign.Errored "boom \"quoted\"\n\001" }
   in
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Ok (Json.Obj _) -> ()
-      | Ok _ -> Alcotest.failf "journal line parsed to a non-object: %s" line
-      | Error e -> Alcotest.failf "journal line unparseable (%s): %s" e line)
-    lines;
-  (* and the parsed fields match what Journal.parse_record sees *)
-  let line =
-    Journal.record_line
-      { Journal.r_index = 9; r_fault = fault; r_outcome = Campaign.Crashed }
+  let code =
+    { Journal.r_index = 9;
+      r_fault = { F.loc = F.Code (0x80000004, 3); kind = F.Transient 17 };
+      r_outcome = Campaign.Sdc }
   in
-  let v = Result.get_ok (Json.parse line) in
-  Alcotest.(check (option int)) "index" (Some 9) (Json.mem_int "i" v);
-  Alcotest.(check (option string)) "outcome" (Some "crashed")
-    (Json.mem_str "outcome" v);
-  Alcotest.(check (option string)) "fault" (Some (S4e_fault.Fault.to_string fault))
-    (Json.mem_str "fault" v)
+  let h_line =
+    {|{"s4e_journal":1,"seed":3,"total":10,"shard":"1/4","program":"abc123"}|}
+  in
+  let errored_line =
+    {|{"i":5,"fault":"gpr:7:3:trans:42","outcome":"errored","error":"boom \"quoted\"\n\u0001"}|}
+  in
+  let code_line =
+    {|{"i":9,"fault":"code:0x80000004:3:trans:17","outcome":"sdc"}|}
+  in
+  Alcotest.(check string) "header bytes" h_line (Journal.header_line h);
+  Alcotest.(check string) "errored bytes" errored_line (Journal.record_line errored);
+  Alcotest.(check string) "code fault bytes" code_line (Journal.record_line code);
+  Alcotest.(check bool) "header parses back" true (Journal.parse_header h_line = Ok h);
+  Alcotest.(check bool) "errored parses back" true
+    (Journal.parse_record errored_line = Ok errored);
+  Alcotest.(check bool) "code fault parses back" true
+    (Journal.parse_record code_line = Ok code);
+  (* a journal of those lines resumes *)
+  let path = Filename.temp_file "s4e_pinned" ".jsonl" in
+  let oc = open_out_bin path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) [ h_line; errored_line; code_line ];
+  close_out oc;
+  (match Journal.append_to ~path h with
+  | Ok (w, records) ->
+      Journal.close w;
+      Alcotest.(check bool) "resumed records" true (records = [ errored; code ])
+  | Error e -> Alcotest.failf "pinned journal does not resume: %s" e);
+  Sys.remove path
 
 (* ---------------- http ---------------- *)
 
@@ -185,13 +204,18 @@ let call t ?meth path body =
 let jstr k v = Option.get (Json.mem_str k v)
 let jint k v = Option.get (Json.mem_int k v)
 
-let header_line ~seed ~total ~shard:(i, n) ~program =
-  Printf.sprintf
-    "{\"s4e_journal\":1,\"seed\":%d,\"total\":%d,\"shard\":\"%d/%d\",\"program\":\"%s\"}"
-    seed total i n program
+let header_line ~seed ~total ~shard ~program =
+  Journal.header_line
+    { Journal.j_seed = seed; j_total = total; j_shard = shard;
+      j_program = program }
 
-let record_line ~i ~outcome =
-  Printf.sprintf "{\"i\":%d,\"fault\":\"G%d.0P\",\"outcome\":\"%s\"}" i i outcome
+let record_of ~i ~outcome =
+  { Journal.r_index = i;
+    r_fault = { S4e_fault.Fault.loc = S4e_fault.Fault.Gpr (1, i mod 32);
+                kind = S4e_fault.Fault.Permanent };
+    r_outcome = outcome }
+
+let record_line ~i ~outcome = Journal.record_line (record_of ~i ~outcome)
 
 let submit t ~shards =
   let _, v =
@@ -226,8 +250,8 @@ let test_server_happy_path () =
   let h = header_line ~seed:1 ~total:4 ~shard:(jint "shard" g0, 2) ~program:"p" in
   let st, v =
     post_records t ~lease:(jstr "lease" g0)
-      ~lines:[ h; record_line ~i:(jint "shard" g0) ~outcome:"masked";
-               record_line ~i:(jint "shard" g0 + 2) ~outcome:"sdc" ]
+      ~lines:[ h; record_line ~i:(jint "shard" g0) ~outcome:Campaign.Masked;
+               record_line ~i:(jint "shard" g0 + 2) ~outcome:Campaign.Sdc ]
   in
   Alcotest.(check int) "records accepted" 200 st;
   Alcotest.(check (option int)) "fresh" (Some 2) (Json.mem_int "accepted" v);
@@ -238,8 +262,8 @@ let test_server_happy_path () =
   Alcotest.(check int) "incomplete shard rejected" 409 st;
   let _ =
     post_records t ~lease:(jstr "lease" g1)
-      ~lines:[ record_line ~i:(jint "shard" g1) ~outcome:"crashed";
-               record_line ~i:(jint "shard" g1 + 2) ~outcome:"hung" ]
+      ~lines:[ record_line ~i:(jint "shard" g1) ~outcome:Campaign.Crashed;
+               record_line ~i:(jint "shard" g1 + 2) ~outcome:Campaign.Hung ]
   in
   let st, v = call t "/api/complete" (Some (Json.Obj [ ("lease", Json.String (jstr "lease" g1)) ])) in
   Alcotest.(check int) "second complete ok" 200 st;
@@ -260,7 +284,7 @@ let test_server_expiry_resume_and_dup () =
   let g = lease t ~worker:"dies" in
   let h = header_line ~seed:1 ~total:3 ~shard:(0, 1) ~program:"p" in
   let _ = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ h; record_line ~i:0 ~outcome:"masked" ] in
+      ~lines:[ h; record_line ~i:0 ~outcome:Campaign.Masked ] in
   (* the worker dies; its lease expires; the shard is re-leased with
      the survivor's records as the resume payload *)
   now := 60.;
@@ -275,15 +299,15 @@ let test_server_expiry_resume_and_dup () =
   (* stale-lease records still merge (the work is valid), but the
      reply tells the dead worker's ghost to stop *)
   let _, v = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ record_line ~i:1 ~outcome:"sdc" ] in
+      ~lines:[ record_line ~i:1 ~outcome:Campaign.Sdc ] in
   Alcotest.(check (option bool)) "ghost told to stop" (Some false)
     (Json.mem_bool "lease_ok" v);
   Alcotest.(check (option int)) "ghost record still merged" (Some 1)
     (Json.mem_int "accepted" v);
   (* duplicates are deduplicated, conflicts fail the job *)
   let _, v = post_records t ~lease:(jstr "lease" g')
-      ~lines:[ record_line ~i:0 ~outcome:"masked";
-               record_line ~i:2 ~outcome:"hung" ] in
+      ~lines:[ record_line ~i:0 ~outcome:Campaign.Masked;
+               record_line ~i:2 ~outcome:Campaign.Hung ] in
   Alcotest.(check (option int)) "dup deduplicated" (Some 1)
     (Json.mem_int "duplicates" v);
   let st, _ = call t "/api/complete"
@@ -300,9 +324,9 @@ let test_server_conflict_fails_job () =
   let g = lease t ~worker:"w" in
   let h = header_line ~seed:1 ~total:2 ~shard:(0, 1) ~program:"p" in
   let _ = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ h; record_line ~i:0 ~outcome:"masked" ] in
+      ~lines:[ h; record_line ~i:0 ~outcome:Campaign.Masked ] in
   let st, _ = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ record_line ~i:0 ~outcome:"sdc" ] in
+      ~lines:[ record_line ~i:0 ~outcome:Campaign.Sdc ] in
   Alcotest.(check int) "conflict reported" 409 st;
   let _, v = call t ~meth:"GET" ("/api/jobs/" ^ job) None in
   Alcotest.(check (option string)) "job failed" (Some "failed")
@@ -320,6 +344,88 @@ let test_server_fairness_across_jobs () =
     2 (List.length (List.filter (( = ) a) owners));
   Alcotest.(check int) "two grants each (b)"
     2 (List.length (List.filter (( = ) b) owners))
+
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Ingestion goes through Journal's parser: a line that is JSON but not
+   a journal record is rejected with its whole batch, a valid record in
+   any JSON spacing is merged, and the job's journal holds canonical
+   bytes that Journal.read accepts. *)
+let test_server_ingests_through_journal () =
+  let dir = temp_dir "s4e_fleet_ingest" in
+  let t = Server.create ~journal_dir:dir () in
+  let job = submit t ~shards:1 in
+  let g = lease t ~worker:"liar" in
+  let lease_id = jstr "lease" g in
+  let h = header_line ~seed:1 ~total:2 ~shard:(0, 1) ~program:"p" in
+  let bogus = {|{"i": 0, "fault": "bogus", "outcome": "zzz"}|} in
+  let spaced i =
+    Printf.sprintf {|{"i": %d, "fault": "gpr:1:%d:perm", "outcome": "masked"}|}
+      i i
+  in
+  let records () =
+    let _, v = call t ~meth:"GET" ("/api/jobs/" ^ job) None in
+    (jint "records" v, jstr "state" v)
+  in
+  let rejected lines =
+    let st, _ = post_records t ~lease:lease_id ~lines in
+    Alcotest.(check bool) "bad batch is a 4xx" true (st >= 400 && st < 500);
+    Alcotest.(check (pair int string)) "nothing merged" (0, "running")
+      (records ())
+  in
+  rejected [ spaced 0 ];  (* a record before any header *)
+  let st, _ = post_records t ~lease:lease_id ~lines:[ h ] in
+  Alcotest.(check int) "header accepted" 200 st;
+  rejected [ bogus ];
+  rejected [ spaced 0; bogus ];
+  rejected [ spaced 2 ];  (* index beyond the header's total *)
+  let st, v = post_records t ~lease:lease_id ~lines:[ spaced 0; spaced 1 ] in
+  Alcotest.(check int) "spaced records accepted" 200 st;
+  Alcotest.(check (option int)) "both fresh" (Some 2) (Json.mem_int "accepted" v);
+  let st, _ =
+    call t "/api/complete" (Some (Json.Obj [ ("lease", Json.String lease_id) ]))
+  in
+  Alcotest.(check int) "complete" 200 st;
+  Alcotest.(check (pair int string)) "job done" (2, "done") (records ());
+  let path = Filename.concat dir (job ^ ".jsonl") in
+  let want = [ record_of ~i:0 ~outcome:Campaign.Masked;
+               record_of ~i:1 ~outcome:Campaign.Masked ] in
+  (match Journal.read path with
+  | Ok (jh, rs) ->
+      Alcotest.(check int) "journal total" 2 jh.Journal.j_total;
+      Alcotest.(check bool) "journal records" true (rs = want)
+  | Error e -> Alcotest.failf "merged journal unreadable: %s" e);
+  Alcotest.(check string) "canonical journal bytes"
+    (String.concat "\n" (h :: List.map Journal.record_line want) ^ "\n")
+    (read_file path);
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* Worker names come from clients and become gauge names: /metrics must
+   stay valid JSON whatever bytes they hold. *)
+let test_metrics_with_hostile_worker_name () =
+  let reg = S4e_obs.Metrics.create () in
+  let t = Server.create ~metrics:reg () in
+  let _ = submit t ~shards:1 in
+  let name = "survivor-\195\169\001" in
+  let _ = lease t ~worker:name in
+  let rs = Server.handle t (req ~meth:"GET" "/metrics" None) in
+  Alcotest.(check int) "metrics served" 200 rs.Http.rs_status;
+  match Json.parse rs.Http.rs_body with
+  | Ok v ->
+      Alcotest.(check (option int)) "worker gauge round-trips" (Some 0)
+        (Json.mem_int (Printf.sprintf "fleet.worker.%s.records" name) v)
+  | Error e -> Alcotest.failf "/metrics is not JSON: %s" e
 
 (* ---------------- the determinism property (satellite) ------------- *)
 
@@ -354,9 +460,7 @@ let run_fleet_simulation ~shards ~seed ~n ~deaths =
   let p = fleet_program () in
   let cfg = flow_cfg ~seed ~n in
   let now = ref 0. in
-  let dir = Filename.temp_file "s4e_fleet_sim" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = temp_dir "s4e_fleet_sim" in
   let t = Server.create ~ttl:10. ~journal_dir:dir ~clock:(fun () -> !now) () in
   let job = submit t ~shards in
   let deaths = ref deaths in
@@ -492,7 +596,9 @@ let () =
           Alcotest.test_case "parse strictness" `Quick
             test_json_parse_strictness;
           Alcotest.test_case "reads journal lines" `Quick
-            test_json_reads_journal_lines ] );
+            test_json_reads_journal_lines;
+          Alcotest.test_case "nesting depth bound" `Quick
+            test_json_depth_bound ] );
       ( "http",
         [ Alcotest.test_case "roundtrip over pipe" `Quick
             test_http_roundtrip_over_pipe;
@@ -506,7 +612,11 @@ let () =
           Alcotest.test_case "conflict fails job" `Quick
             test_server_conflict_fails_job;
           Alcotest.test_case "fairness across jobs" `Quick
-            test_server_fairness_across_jobs ] );
+            test_server_fairness_across_jobs;
+          Alcotest.test_case "ingests through Journal" `Quick
+            test_server_ingests_through_journal;
+          Alcotest.test_case "metrics with a hostile worker name" `Quick
+            test_metrics_with_hostile_worker_name ] );
       ( "fleet",
         [ fleet_determinism;
           Alcotest.test_case "process gauges" `Quick test_process_gauges ] ) ]

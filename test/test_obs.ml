@@ -112,6 +112,20 @@ let test_json_export () =
   check_infix "json" json "\"bad_probe\": 0";
   Alcotest.(check bool) "no nan literal" false (contains json ~affix:"nan")
 
+(* metric names can carry client bytes (fleet worker names): the export
+   escapes them as JSON, not as OCaml literals, one key per line *)
+let test_json_export_escapes_names () =
+  let t = Metrics.create () in
+  let name = "w\001\195\169" in
+  Metrics.add (Metrics.counter t name) 7;
+  let json = Metrics.to_json t in
+  check_infix "json" json "\n  \"w\\u0001\195\169\": 7\n";
+  match S4e_obs.Json.parse json with
+  | Ok v ->
+      Alcotest.(check (option int)) "name round-trips" (Some 7)
+        (S4e_obs.Json.mem_int name v)
+  | Error e -> Alcotest.failf "export is not JSON: %s" e
+
 (* a registry counter is safe to bump from several domains at once *)
 let test_counter_cross_domain () =
   let t = Metrics.create () in
@@ -560,6 +574,8 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
           Alcotest.test_case "json export" `Quick test_json_export;
+          Alcotest.test_case "json export escapes names" `Quick
+            test_json_export_escapes_names;
           Alcotest.test_case "cross-domain counter" `Quick
             test_counter_cross_domain ] );
       ( "trace-events",
