@@ -260,6 +260,30 @@ let hang_budget_insns hb ~fuel ~golden_instret =
   | Hang_insns b -> b
   | Hang_auto -> min fuel (max 10_000 (3 * golden_instret))
 
+(* The last campaign's setup — golden signature, fault list and
+   checkpoint trace — kept for the next campaign of this process with
+   the same key, so a fleet worker running a job's shards back to back
+   pays the setup once.  One slot, swapped atomically: domains racing on
+   it can only make each other recompute.  The key covers every input
+   of the three results; the hang budget derived from [ff_hang_budget]
+   is a function of them. *)
+type setup = {
+  su_key : Digest.t;
+  su_golden : Campaign.signature;
+  su_faults : S4e_fault.Fault.t list;
+  su_trace : Campaign.trace option;
+}
+
+let last_setup : setup option Atomic.t = Atomic.make None
+
+let setup_key ?config cfg p =
+  Digest.string
+    (Marshal.to_string
+       ( Program.to_bytes p, config, cfg.ff_fuel, cfg.ff_seed, cfg.ff_mutants,
+         cfg.ff_targets, cfg.ff_kinds, cfg.ff_blind, cfg.ff_hang_budget,
+         cfg.ff_engine.Campaign.eng_checkpoint )
+       [ Marshal.No_sharing ])
+
 let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
     ?resume ?shard:shard_spec ?on_journal_line ?cancelled cfg p =
   Option.iter S4e_obs.Metrics.register_process_gauges metrics;
@@ -268,21 +292,44 @@ let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
     | Some s -> S4e_obs.Trace_events.span s ~name ~cat:"flow" f
     | None -> f ()
   in
-  let golden, coverage =
-    span "golden+coverage" (fun () -> Campaign.golden ?config ~fuel:cfg.ff_fuel p)
+  let key = setup_key ?config cfg p in
+  let reused =
+    match Atomic.get last_setup with
+    | Some s when s.su_key = key -> Some s
+    | _ -> None
+  in
+  let golden, faults =
+    match reused with
+    | Some s ->
+        Option.iter
+          (fun m ->
+            S4e_obs.Metrics.incr
+              (S4e_obs.Metrics.counter m "campaign.setup_reused"))
+          metrics;
+        Option.iter
+          (fun sink ->
+            S4e_obs.Trace_events.instant sink ~name:"setup-reused" ~cat:"flow"
+              ~tid:(Domain.self () :> int) ())
+          trace;
+        (s.su_golden, s.su_faults)
+    | None ->
+        let golden, coverage =
+          span "golden+coverage" (fun () ->
+              Campaign.golden ?config ~fuel:cfg.ff_fuel p)
+        in
+        let golden_instret = golden.Campaign.sig_instret in
+        ( golden,
+          span "generate" (fun () ->
+              if cfg.ff_blind then
+                Campaign.generate_blind ~seed:cfg.ff_seed ~n:cfg.ff_mutants
+                  ~targets:cfg.ff_targets ~kinds:cfg.ff_kinds ~program:p
+                  ~golden_instret
+              else
+                Campaign.generate ~seed:cfg.ff_seed ~n:cfg.ff_mutants
+                  ~targets:cfg.ff_targets ~kinds:cfg.ff_kinds ~coverage
+                  ~golden_instret) )
   in
   let golden_instret = golden.Campaign.sig_instret in
-  let faults =
-    span "generate" (fun () ->
-        if cfg.ff_blind then
-          Campaign.generate_blind ~seed:cfg.ff_seed ~n:cfg.ff_mutants
-            ~targets:cfg.ff_targets ~kinds:cfg.ff_kinds ~program:p
-            ~golden_instret
-        else
-          Campaign.generate ~seed:cfg.ff_seed ~n:cfg.ff_mutants
-            ~targets:cfg.ff_targets ~kinds:cfg.ff_kinds ~coverage
-            ~golden_instret)
-  in
   let total = List.length faults in
   let by_index = Array.of_list faults in
   let ifaults = List.mapi (fun i f -> (i, f)) faults in
@@ -388,9 +435,27 @@ let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
   let on_progress = if progress then Some (progress_meter ()) else None in
   let fresh =
     span "campaign" (fun () ->
+        (* the trace is collected where [run_indexed] would have, and
+           only when there is something to run; the setup is kept once
+           it is whole *)
+        let golden_trace =
+          match reused with
+          | Some s -> s.su_trace
+          | None when remaining = [] -> None
+          | None ->
+              let t =
+                Campaign.golden_trace ?config ?trace ~engine:cfg.ff_engine
+                  ~fuel:budget ~golden p
+              in
+              Atomic.set last_setup
+                (Some
+                   { su_key = key; su_golden = golden; su_faults = faults;
+                     su_trace = t });
+              t
+        in
         Campaign.run_indexed ?config ~engine:cfg.ff_engine ?jobs ?metrics
-          ?trace ?on_progress ?on_result ?cancelled ~fuel:budget p ~golden
-          remaining)
+          ?trace ?golden_trace ?on_progress ?on_result ?cancelled ~fuel:budget
+          p ~golden remaining)
   in
   Option.iter Journal.close writer;
   let all =

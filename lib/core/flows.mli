@@ -189,7 +189,17 @@ val fault_campaign :
       (valid, resumable) result with [ff_complete = false].
 
     Errors are user errors (unreadable or mismatched journal, bad
-    shard), never partial states: the journal on disk stays valid. *)
+    shard), never partial states: the journal on disk stays valid.
+
+    The process keeps the last campaign's setup — golden signature,
+    fault list and checkpoint trace — and reuses it when the next
+    campaign has the same program bytes, [config], fuel, seed, mutant
+    count, targets, kinds, blind flag, hang budget and checkpoint
+    interval (the shard is not part of it, so a worker's later shards of
+    a job skip all three).  Reuse changes no result; it bumps the
+    [campaign.setup_reused] counter of [metrics] and emits one
+    [setup-reused] instant on [trace] in place of the
+    [golden+coverage], [generate] and [golden-trace] spans. *)
 
 val fault_flow :
   ?config:S4e_cpu.Machine.config ->

@@ -608,6 +608,19 @@ let run_task ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled ~on_result
    so every degree of parallelism produces bit-identical results. *)
 let task_chunks = 16
 
+let golden_trace ?config ?trace:sink ~engine ~fuel ~golden program =
+  if engine.eng_checkpoint <= 0 then None
+  else
+    let collect () =
+      collect_trace ?config ~fuel ~interval:engine.eng_checkpoint ~golden
+        program
+    in
+    Some
+      (match sink with
+      | Some s ->
+          Obs.Trace_events.span s ~name:"golden-trace" ~cat:"campaign" collect
+      | None -> collect ())
+
 (* Core entry point over an {e indexed} fault list: every fault keeps
    its stable position in the full campaign, so a shard or a resumed
    remainder classifies exactly the same mutants (same indices, same
@@ -616,7 +629,8 @@ let task_chunks = 16
    actually classified: cancellation skips are absent, never
    defaulted. *)
 let run_indexed ?config ?(engine = default_engine) ?jobs ?metrics ?trace:sink
-    ?on_progress ?on_result ?cancelled ~fuel program ~golden ifaults =
+    ?golden_trace:given ?on_progress ?on_result ?cancelled ~fuel program ~golden
+    ifaults =
   let jobs = max 1 (Option.value jobs ~default:1) in
   match ifaults with
   | [] -> []
@@ -659,18 +673,10 @@ let run_indexed ?config ?(engine = default_engine) ?jobs ?metrics ?trace:sink
                 fun () -> f (Atomic.fetch_and_add done_ 1 + 1) total)
               on_progress }
       in
-      let in_span name f =
-        match sink with
-        | Some s -> Obs.Trace_events.span s ~name ~cat:"campaign" f
-        | None -> f ()
-      in
       let trace =
-        if engine.eng_checkpoint > 0 then
-          Some
-            (in_span "golden-trace" (fun () ->
-                 collect_trace ?config ~fuel ~interval:engine.eng_checkpoint
-                   ~golden program))
-        else None
+        match given with
+        | Some t when engine.eng_checkpoint > 0 -> Some t
+        | _ -> golden_trace ?config ?trace:sink ~engine ~fuel ~golden program
       in
       let arr = Array.of_list ifaults in
       let n = Array.length arr in

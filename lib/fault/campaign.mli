@@ -168,12 +168,27 @@ val shard : index:int -> count:int -> (int * Fault.t) list -> (int * Fault.t) li
     list exactly once and the union of all shards is the whole list.
     @raise Invalid_argument unless [0 <= index < count]. *)
 
+val golden_trace :
+  ?config:S4e_cpu.Machine.config ->
+  ?trace:S4e_obs.Trace_events.t ->
+  engine:engine ->
+  fuel:int ->
+  golden:signature ->
+  S4e_asm.Program.t ->
+  trace option
+(** The checkpoint trace [engine] needs, in a [golden-trace] span of
+    [trace]: {!collect_trace} at interval [eng_checkpoint] and per-run
+    budget [fuel], or [None] when [eng_checkpoint = 0].  The result's
+    table is never mutated afterwards, so one trace may serve several
+    campaigns on any domains. *)
+
 val run_indexed :
   ?config:S4e_cpu.Machine.config ->
   ?engine:engine ->
   ?jobs:int ->
   ?metrics:S4e_obs.Metrics.t ->
   ?trace:S4e_obs.Trace_events.t ->
+  ?golden_trace:trace ->
   ?on_progress:(int -> int -> unit) ->
   ?on_result:(int -> Fault.t -> outcome -> unit) ->
   ?cancelled:(unit -> bool) ->
@@ -192,6 +207,10 @@ val run_indexed :
     - [on_result i fault outcome] fires once per classified mutant,
       serialized under an internal lock (safe to write a journal from),
       before the corresponding [on_progress] tick.
+    - [golden_trace], when given, stands in for the {!golden_trace}
+      this call would otherwise collect; it must be that function's
+      result for the same [config], [engine], [fuel], [golden] and
+      program.  Ignored when [eng_checkpoint = 0].
     - [cancelled ()] is polled between mutants on every worker;
       once it returns [true], workers finish their current mutant and
       classify nothing further.  Cooperative, so a SIGINT handler only

@@ -47,6 +47,7 @@ type t = {
   (* counters (None when no registry is attached) *)
   c_requests : Obs.Metrics.counter option;
   c_leases : Obs.Metrics.counter option;
+  c_renewed : Obs.Metrics.counter option;
   c_records : Obs.Metrics.counter option;
   c_dups : Obs.Metrics.counter option;
   c_shards_done : Obs.Metrics.counter option;
@@ -109,6 +110,7 @@ let create ?(ttl = 30.0) ?journal_dir ?metrics ?(clock = Unix.gettimeofday)
       last_merge = clock ();
       c_requests = c "fleet.http.requests";
       c_leases = c "fleet.leases.granted";
+      c_renewed = c "fleet.leases.renewed";
       c_records = c "fleet.records.received";
       c_dups = c "fleet.records.duplicates";
       c_shards_done = c "fleet.shards.completed";
@@ -450,6 +452,7 @@ let handle_renew t body =
                 j.j_state = Running
                 && Lease.renew j.j_lease ~now:(t.clock ()) ~ttl:t.ttl ~lease
               in
+              if ok then bump t.c_renewed;
               respond (Json.Obj [ ("ok", Json.Bool ok) ]))
 
 let parse_lines lines =

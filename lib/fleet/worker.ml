@@ -108,50 +108,50 @@ let run ?(name = "worker") ?(poll_s = 0.5) ?(batch = 32) ?stop ?(drain = false)
           if !buffered >= batch then flush ()
         in
         (* Heartbeat: renew at ttl/3 so one missed beat still leaves
-           slack before expiry.  The wait is chopped into short naps so
-           a finished shard is joined in ~50 ms, not a full interval. *)
-        let shard_done = Atomic.make false in
+           slack before expiry.  The thread waits on a wake pipe, so the
+           byte written when the shard ends joins it at once instead of
+           after the rest of an interval. *)
+        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
         let heartbeat =
           Thread.create
             (fun () ->
               let interval = Float.max 0.05 (g.g_ttl /. 3.) in
-              let nap until =
-                let rec go remaining =
-                  if remaining > 0.
-                     && not (Atomic.get shard_done || Atomic.get lost)
-                  then begin
-                    let step = Float.min 0.05 remaining in
-                    Thread.delay step;
-                    go (remaining -. step)
-                  end
-                in
-                go until
+              let rec beat () =
+                match Unix.select [ wake_r ] [] [] interval with
+                | [], _, _ when not (Atomic.get lost) -> (
+                    match
+                      Client.request client ~meth:"POST" ~path:"/api/renew"
+                        ~body:(Json.Obj [ ("lease", Json.String g.g_lease) ])
+                        ()
+                    with
+                    | Ok (200, reply)
+                      when Json.mem_bool "ok" reply = Some true ->
+                        beat ()
+                    | Ok _ | Error _ -> Atomic.set lost true)
+                | _ -> ()
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> beat ()
               in
-              while not (Atomic.get shard_done || Atomic.get lost) do
-                nap interval;
-                if not (Atomic.get shard_done || Atomic.get lost) then
-                  match
-                    Client.request client ~meth:"POST" ~path:"/api/renew"
-                      ~body:(Json.Obj [ ("lease", Json.String g.g_lease) ])
-                      ()
-                  with
-                  | Ok (200, reply)
-                    when Json.mem_bool "ok" reply = Some true ->
-                      ()
-                  | Ok _ | Error _ -> Atomic.set lost true
-              done)
+              beat ())
             ()
+        in
+        let stop_heartbeat () =
+          ignore (Unix.write_substring wake_w "x" 0 1 : int);
+          (try Thread.join heartbeat with _ -> ());
+          Unix.close wake_r;
+          Unix.close wake_w
         in
         let cancelled () = stopped () || Atomic.get lost in
         let result =
-          try
-            runner ~spec:g.g_spec ~shard:(g.g_shard, g.g_shards)
-              ~resume:g.g_resume ~emit ~cancelled
-          with e -> Error (Printexc.to_string e)
+          Fun.protect ~finally:stop_heartbeat (fun () ->
+              let r =
+                try
+                  runner ~spec:g.g_spec ~shard:(g.g_shard, g.g_shards)
+                    ~resume:g.g_resume ~emit ~cancelled
+                with e -> Error (Printexc.to_string e)
+              in
+              flush ();
+              r)
         in
-        flush ();
-        Atomic.set shard_done true;
-        (try Thread.join heartbeat with _ -> ());
         let lease_body = Json.Obj [ ("lease", Json.String g.g_lease) ] in
         match (result, Atomic.get lost, stopped ()) with
         | Ok (), false, false -> (

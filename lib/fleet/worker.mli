@@ -3,7 +3,9 @@
     A worker repeatedly asks the orchestrator for a shard lease, runs
     the campaign shard through the caller-supplied [runner], and streams
     the journal lines the runner emits back in batches.  While a shard
-    runs, a heartbeat thread renews the lease every [ttl/3]; if the
+    runs, a heartbeat thread renews the lease every [ttl/3] (at least
+    50 ms apart), waiting on a wake pipe that the end of the shard
+    writes to, so the thread is joined at once; if the
     server reports the lease stale (the shard was reclaimed after a
     stall or partition), the runner is cancelled cooperatively and the
     shard abandoned — its streamed records remain valid on the server.

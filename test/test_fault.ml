@@ -667,6 +667,96 @@ let test_cancellation_partial_then_resume () =
       Alcotest.(check bool) "summary identical to uninterrupted" true
         (resumed.Flows.ff_summary = full.Flows.ff_summary))
 
+(* A process keeps the last campaign's setup (golden run, fault list,
+   checkpoint trace) for the next campaign with the same inputs.  The
+   reuse must be invisible: campaigns of another program, seed or fuel
+   in between never hand a campaign someone else's setup, and resume
+   validation still sees the campaign's own fault list. *)
+let test_setup_reuse_is_invisible () =
+  let a = engine_program () in
+  (* the same loop, half the outer trip count *)
+  let b =
+    S4e_asm.Assembler.assemble_exn
+      (String.concat "\n"
+         (List.map
+            (fun l ->
+              if String.trim l = "li   s2, 120" then "  li   s2, 60" else l)
+            (String.split_on_char '\n' engine_src)))
+  in
+  let reg = S4e_obs.Metrics.create () in
+  let sink = S4e_obs.Trace_events.create () in
+  let run ?resume ?journal ?shard cfg p =
+    Flows.fault_campaign ~metrics:reg ~trace:sink ?resume ?journal ?shard cfg p
+  in
+  let ok = function Ok r -> r | Error e -> Alcotest.fail e in
+  let cfg = flow_cfg ~seed:5 ~n:24 in
+  let cfg_seed2 = { cfg with Flows.ff_seed = 2 } in
+  (* too little fuel to finish the golden run: another golden signature,
+     so other transient injection times *)
+  let cfg_fuel = { cfg with Flows.ff_fuel = 5_000 } in
+  let golden ~fuel = Campaign.golden ~fuel a in
+  let faults_of c =
+    let g, cov = golden ~fuel:c.Flows.ff_fuel in
+    Campaign.generate ~seed:c.Flows.ff_seed ~n:c.Flows.ff_mutants
+      ~targets:c.Flows.ff_targets ~kinds:c.Flows.ff_kinds ~coverage:cov
+      ~golden_instret:g.Campaign.sig_instret
+  in
+  with_tmp (fun j0 ->
+      let s0 = ok (run ~journal:j0 ~shard:(0, 4) cfg a) in
+      let rb = ok (run cfg b) in
+      let rest = List.map (fun i -> ok (run ~shard:(i, 4) cfg a)) [ 1; 2; 3 ] in
+      let r2 = ok (run cfg_seed2 a) in
+      (match run ~resume:j0 ~shard:(0, 4) cfg_seed2 a with
+      | Ok _ -> Alcotest.fail "resume with another seed must be rejected"
+      | Error _ -> ());
+      (* [full] leaves A's setup in the slot, so a key without the fuel
+         would hand it to [rf] *)
+      let full = Flows.fault_flow cfg a in
+      let rf = ok (run cfg_fuel a) in
+      (match run ~resume:j0 ~shard:(0, 4) cfg_fuel a with
+      | Ok _ -> Alcotest.fail "resume with another fuel must be rejected"
+      | Error _ -> ());
+      let reused =
+        match
+          List.assoc_opt "campaign.setup_reused" (S4e_obs.Metrics.snapshot reg)
+        with
+        | Some (S4e_obs.Metrics.Int n) -> n
+        | _ -> 0
+      in
+      (* hits: A shards 2 and 3 after shard 1, and each rejected resume
+         after the unsharded run with its seed or fuel *)
+      Alcotest.(check int) "setups reused" 4 reused;
+      let instants =
+        match S4e_obs.Json.parse (S4e_obs.Trace_events.contents sink) with
+        | Ok (S4e_obs.Json.List events) ->
+            List.filter
+              (fun e -> S4e_obs.Json.mem_str "name" e = Some "setup-reused")
+              events
+        | _ -> Alcotest.fail "the trace is not a JSON array"
+      in
+      Alcotest.(check int) "one setup-reused instant per reuse" 4
+        (List.length instants);
+      Alcotest.(check bool) "shard union = unsharded, record for record" true
+        (List.sort compare
+           (List.concat_map (fun r -> r.Flows.ff_indexed) (s0 :: rest))
+        = full.Flows.ff_indexed);
+      Alcotest.(check bool) "seed 2 faults = Campaign.generate ~seed:2" true
+        (List.map fst r2.Flows.ff_results = faults_of cfg_seed2);
+      Alcotest.(check bool) "other fuel faults regenerated" true
+        (List.map fst rf.Flows.ff_results = faults_of cfg_fuel
+        && faults_of cfg_fuel <> faults_of cfg);
+      let g = fst (golden ~fuel:100_000) in
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "golden unchanged" true (r.Flows.ff_golden = g))
+        (s0 :: r2 :: full :: rest);
+      Alcotest.(check bool) "other fuel, other golden" true
+        (rf.Flows.ff_golden = fst (golden ~fuel:5_000)
+        && rf.Flows.ff_golden <> g);
+      Alcotest.(check bool) "other program, own golden" true
+        (rb.Flows.ff_golden = fst (Campaign.golden ~fuel:100_000 b)
+        && rb.Flows.ff_golden <> g))
+
 let test_blind_generation () =
   let p = program () in
   let golden, _ = Campaign.golden ~fuel:10_000 p in
@@ -924,7 +1014,9 @@ let () =
           Alcotest.test_case "shard merge equals full" `Quick
             test_shard_merge_equals_full;
           Alcotest.test_case "cancel then resume" `Quick
-            test_cancellation_partial_then_resume ] );
+            test_cancellation_partial_then_resume;
+          Alcotest.test_case "setup reuse is invisible" `Quick
+            test_setup_reuse_is_invisible ] );
       ( "triage",
         [ Alcotest.test_case "locates first divergence" `Quick
             test_triage_locates_divergence;

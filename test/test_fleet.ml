@@ -427,6 +427,96 @@ let test_metrics_with_hostile_worker_name () =
         (Json.mem_int (Printf.sprintf "fleet.worker.%s.records" name) v)
   | Error e -> Alcotest.failf "/metrics is not JSON: %s" e
 
+(* ---------------- the worker, against a loopback server ---------------- *)
+
+module Client = S4e_fleet.Client
+module Worker = S4e_fleet.Worker
+
+(* A real server on an ephemeral loopback port with one submitted job
+   of [shards] one-mutant shards.  The job is submitted through the
+   worker's own client, so its keep-alive connection is open before [f]
+   runs. *)
+let with_loopback_job ?ttl ~shards f =
+  let reg = S4e_obs.Metrics.create () in
+  let server = Server.create ?ttl ~metrics:reg () in
+  let addr =
+    match Server.start server (Http.Tcp ("127.0.0.1", 0)) with
+    | Ok a -> a
+    | Error e -> Alcotest.fail e
+  in
+  let client = Client.create addr in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      Server.stop server)
+    (fun () ->
+      (match
+         Client.request client ~meth:"POST" ~path:"/api/jobs"
+           ~body:(Json.Obj [ ("shards", Json.Int shards) ])
+           ()
+       with
+      | Ok (200, _) -> ()
+      | Ok (s, v) -> Alcotest.failf "submit: HTTP %d %s" s (Json.to_string v)
+      | Error e -> Alcotest.failf "submit: %s" e);
+      f client reg)
+
+(* Runs a shard of that job: its header and its one record, after
+   [before ()]. *)
+let one_record_runner ~before ~spec:_ ~shard:(index, count)
+    ~resume:_ ~emit ~cancelled:_ =
+  before ();
+  emit (header_line ~seed:1 ~total:count ~shard:(index, count) ~program:"p");
+  emit (record_line ~i:index ~outcome:Campaign.Masked);
+  Ok ()
+
+let drain ?runner client =
+  let runner =
+    Option.value runner ~default:(one_record_runner ~before:ignore)
+  in
+  match Worker.run ~poll_s:0.01 ~drain:true ~client ~runner () with
+  | Ok o -> o
+  | Error e -> Alcotest.failf "worker: %s" e
+
+let metric reg name =
+  match List.assoc_opt name (S4e_obs.Metrics.snapshot reg) with
+  | Some (S4e_obs.Metrics.Int i) -> i
+  | _ -> Alcotest.failf "metric %s missing" name
+
+let test_worker_drains_short_shards () =
+  with_loopback_job ~shards:40 (fun client _ ->
+      let t0 = Unix.gettimeofday () in
+      let o = drain client in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) "every shard completed" 40 o.Worker.o_shards_ok;
+      Alcotest.(check int) "no shard failed" 0 o.Worker.o_shards_failed;
+      if dt >= 1. then
+        Alcotest.failf "40 no-op shards took %.2f s: the heartbeat delays \
+                        each shard's end" dt)
+
+let test_worker_heartbeat_keeps_lease () =
+  with_loopback_job ~ttl:0.3 ~shards:1 (fun client reg ->
+      let o =
+        drain
+          ~runner:(one_record_runner ~before:(fun () -> Thread.delay 1.))
+          client
+      in
+      Alcotest.(check int) "slow shard completed" 1 o.Worker.o_shards_ok;
+      Alcotest.(check int) "no shard failed" 0 o.Worker.o_shards_failed;
+      Alcotest.(check int) "no lease reclaimed" 0
+        (metric reg "fleet.leases.reclaimed");
+      let renewed = metric reg "fleet.leases.renewed" in
+      if renewed < 2 then
+        Alcotest.failf "%d renewals over 1 s at a 0.3 s TTL" renewed)
+
+let test_worker_closes_wake_pipes () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then
+    with_loopback_job ~shards:40 (fun client _ ->
+        let before = open_fds () in
+        let o = drain client in
+        Alcotest.(check int) "every shard completed" 40 o.Worker.o_shards_ok;
+        Alcotest.(check int) "open fds unchanged" before (open_fds ()))
+
 (* ---------------- the determinism property (satellite) ------------- *)
 
 let fleet_src = {|
@@ -617,6 +707,13 @@ let () =
             test_server_ingests_through_journal;
           Alcotest.test_case "metrics with a hostile worker name" `Quick
             test_metrics_with_hostile_worker_name ] );
+      ( "worker",
+        [ Alcotest.test_case "drains 40 short shards in under 1 s" `Quick
+            test_worker_drains_short_shards;
+          Alcotest.test_case "heartbeat keeps a slow shard's lease" `Quick
+            test_worker_heartbeat_keeps_lease;
+          Alcotest.test_case "no wake-pipe fd leaks" `Quick
+            test_worker_closes_wake_pipes ] );
       ( "fleet",
         [ fleet_determinism;
           Alcotest.test_case "process gauges" `Quick test_process_gauges ] ) ]
