@@ -1048,37 +1048,13 @@ let worker_cmd =
           match try_assemble path with
           | Error e -> Error e
           | Ok p ->
-              (* The grant's resume payload becomes a journal file on
-                 disk so the campaign resumes through the same
-                 validated [--resume] path an interrupted local run
-                 uses. *)
-              let resume_path =
-                Option.map
-                  (fun (header, lines) ->
-                    let tmp =
-                      Filename.temp_file "s4e-fleet-resume" ".jsonl"
-                    in
-                    let oc = open_out_bin tmp in
-                    output_string oc header;
-                    output_char oc '\n';
-                    List.iter
-                      (fun l ->
-                        output_string oc l;
-                        output_char oc '\n')
-                      lines;
-                    close_out oc;
-                    tmp)
-                  resume
-              in
-              let result =
+              (* The grant's resume payload goes through the same
+                 validation as a local [--resume] journal, in memory. *)
+              match
                 S4e_core.Flows.fault_campaign ~jobs ?metrics:reg
-                  ?resume:resume_path ~shard ~on_journal_line:emit ~cancelled
+                  ?resume_lines:resume ~shard ~on_journal_line:emit ~cancelled
                   cfg p
-              in
-              Option.iter
-                (fun f -> try Sys.remove f with Sys_error _ -> ())
-                resume_path;
-              match result with
+              with
               | Error e -> Error e
               | Ok r when r.S4e_core.Flows.ff_complete -> Ok ()
               | Ok _ -> Error "cancelled before the shard finished")

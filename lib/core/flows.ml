@@ -285,7 +285,7 @@ let setup_key ?config cfg p =
        [ Marshal.No_sharing ])
 
 let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
-    ?resume ?shard:shard_spec ?on_journal_line ?cancelled cfg p =
+    ?resume ?resume_lines ?shard:shard_spec ?on_journal_line ?cancelled cfg p =
   Option.iter S4e_obs.Metrics.register_process_gauges metrics;
   let span name f =
     match trace with
@@ -348,12 +348,23 @@ let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
      exact campaign: same header, and every recorded fault must equal
      the regenerated fault at its index — anything else means the
      journal belongs to a different run and resuming would fabricate
-     results. *)
+     results.  A journal file reopens for appending; lines held in
+     memory open nothing. *)
   let* resumed_from =
-    match resume with
+    let* from =
+      match (resume, resume_lines) with
+      | None, None -> Ok None
+      | Some path, None ->
+          let* w, records = Journal.append_to ?sink:trace ~path header in
+          Ok (Some (Some w, records))
+      | None, Some (h, lines) ->
+          let* records = Journal.of_lines header (h :: lines) in
+          Ok (Some (None, records))
+      | Some _, Some _ -> Error "resume: give a journal file or lines, not both"
+    in
+    match from with
     | None -> Ok None
-    | Some path ->
-        let* w, records = Journal.append_to ?sink:trace ~path header in
+    | Some (w, records) -> (
         let in_scope i =
           match shard_spec with
           | None -> true
@@ -377,9 +388,11 @@ let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
               else Ok ())
             (Ok ()) records
         in
-        (match check with
-        | Error e -> Journal.close w; Error e
-        | Ok () -> Ok (Some (w, records)))
+        match check with
+        | Error e ->
+            Option.iter Journal.close w;
+            Error e
+        | Ok () -> Ok from)
   in
   let prior = match resumed_from with None -> [] | Some (_, r) -> r in
   let classified = Hashtbl.create 64 in
@@ -403,14 +416,14 @@ let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
     match (journal, resumed_from) with
     | None, None -> Ok None
     | Some j, Some (w, _) when Some j <> resume -> (
-        Journal.close w;
+        Option.iter Journal.close w;
         match Journal.create ?sink:trace ~path:j header with
         | Error e -> Error e
         | Ok w ->
             List.iter (Journal.write w) prior;
             Journal.flush w;
             Ok (Some w))
-    | _, Some (w, _) -> Ok (Some w)
+    | _, Some (w, _) -> Ok w
     | Some j, None ->
         let* w = Journal.create ?sink:trace ~path:j header in
         Ok (Some w)

@@ -157,6 +157,7 @@ val fault_campaign :
   ?progress:bool ->
   ?journal:string ->
   ?resume:string ->
+  ?resume_lines:string * string list ->
   ?shard:int * int ->
   ?on_journal_line:(string -> unit) ->
   ?cancelled:(unit -> bool) ->
@@ -174,6 +175,11 @@ val fault_campaign :
       uninterrupted run's.  With both options and [journal <> resume],
       the known records are carried into the fresh [journal] file and
       only that file is written.
+    - [resume_lines (header, records)] is the same journal held in
+      memory as its lines — a fleet grant's resume payload.  It passes
+      the same header and per-record checks and opens no writer: the
+      campaign records only to [journal], if given.  Exclusive with
+      [resume].
     - [shard (i, n)] restricts the run to
       {!S4e_fault.Campaign.shard}[ ~index:i ~count:n]; the journals of
       all [n] shards merge into the full campaign

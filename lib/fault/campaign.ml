@@ -171,36 +171,40 @@ let rec run_until ?deadline ?(on_timeout = ignore) m ~fuel =
           run_until ?deadline ~on_timeout m ~fuel:(fuel - step)
       | stop -> stop)
 
-(* The from-reset run of one mutant on a fresh machine: {!run_one}, and
-   the campaign engine's second-chance retry. *)
+(* The one mutant runner.  [m] stands at instant [from] of the golden
+   run — reset, or a fork of the golden run at the fault's instant.
+   [prefix k] runs [k] more instructions up to the instant; a run that
+   ends first never sees the flip.  The fault is then injected and
+   [suffix] simulates the rest of the budget: the flip is fully applied
+   from the instant on, so a convergence guard may exit early from
+   there, unless a stuck-at pin keeps acting. *)
+let run_mutant m ~golden ~fuel ~from ~prefix ~suffix fault =
+  let at = min (Injector.instant fault) fuel in
+  let ended =
+    if at <= from then None
+    else
+      match prefix (at - from) with
+      | Machine.Out_of_fuel -> None
+      | stop -> Some (classify ~golden m stop)
+  in
+  match ended with
+  | Some o -> o
+  | None ->
+      let pin = Injector.inject m fault in
+      Fun.protect
+        ~finally:(fun () -> Option.iter (Injector.unpin m) pin)
+        (fun () ->
+          suffix ~budget:(fuel - at)
+            ~inert_at:(if Option.is_none pin then at else max_int))
+
+(* One mutant on a fresh machine, from reset and unguarded: {!run_one},
+   and the campaign engine's second-chance retry. *)
 let run_from_reset ?config ?deadline ?on_timeout ~fuel program ~golden fault =
   let m = run_machine ?config program in
   let run fuel = run_until ?deadline ?on_timeout m ~fuel in
-  let run_armed fuel =
-    let armed = Injector.arm m fault in
-    Fun.protect
-      ~finally:(fun () -> Injector.disarm m armed)
-      (fun () -> run fuel)
-  in
-  let stop =
-    match fault.Fault.kind with
-    | Fault.Transient n when n < fuel -> (
-        (* Segment the run at the injection instant.  A transient flip
-           into memory becomes architecturally visible at the next
-           translation-block boundary, and where that boundary falls
-           depends on block geometry: a continuous run lets a flip into
-           the currently-executing block go unseen until the block
-           ends, while the campaign engine's forked suffixes always
-           resume — and therefore re-decode — at exactly the injection
-           point.  Splitting the run here pins the visibility boundary
-           to the same instruction everywhere, which is what makes
-           engine and rerun classifications comparable at all. *)
-        match run_armed n with
-        | Machine.Out_of_fuel -> run (fuel - n)
-        | stop -> stop)
-    | _ -> run_armed fuel
-  in
-  classify ~golden m stop
+  run_mutant m ~golden ~fuel ~from:0 ~prefix:run
+    ~suffix:(fun ~budget ~inert_at:_ -> classify ~golden m (run budget))
+    fault
 
 let run_one ?config ~fuel program ~golden fault =
   run_from_reset ?config ~fuel program ~golden fault
@@ -304,27 +308,6 @@ let collect_trace ?config ~fuel ~interval ~golden program =
     tr_strict = !timed;
     tr_outcome = classify ~golden m stop }
 
-(* Instret (absolute) after which the armed fault is fully applied and
-   its hooks are inert, i.e. state equality with the golden trace
-   implies an identical future.  Stuck-at register faults re-assert on
-   every instruction, so they never qualify. *)
-let inert_after f =
-  match (f.Fault.kind, f.Fault.loc) with
-  | Fault.Transient n, _ -> max 1 n
-  | Fault.Permanent, (Fault.Code _ | Fault.Data _) -> 0
-  | Fault.Permanent, (Fault.Gpr _ | Fault.Fpr _) -> max_int
-
-(* Golden instructions guaranteed identical before the fault can act. *)
-let golden_prefix f =
-  match f.Fault.kind with
-  | Fault.Transient n -> max 0 (n - 1)
-  | Fault.Permanent -> 0
-
-let shift_transient at f =
-  match f.Fault.kind with
-  | Fault.Transient n -> { f with Fault.kind = Fault.Transient (n - at) }
-  | Fault.Permanent -> f
-
 (* Optional campaign telemetry, threaded into every worker task.  The
    counters are {!Obs.Metrics} atomics, so per-mutant bumps from
    concurrent worker domains need no lock; the trace sink serializes
@@ -401,18 +384,21 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
      reconvergence with the golden trace at every boundary past
      [inert_at].  The pauses piggyback on [Machine.run]'s fuel
      accounting, so the guard costs nothing per instruction and an
-     unhooked run stays on the translation-block fast path. *)
+     unhooked run stays on the translation-block fast path.  A fault
+     that is never inert runs its budget in one stretch. *)
   let run_guarded tr ~budget ~inert_at ~dl =
     let interval = tr.tr_interval in
     let next_full = ref 0 in
     let stride = ref 1 in
     let rec go budget =
       let ir = st.Arch_state.instret in
-      if budget <= 0 then classify ~golden m Machine.Out_of_fuel
-      else if deadline_hit dl then begin
+      (* the deadline first: a stretch it cut short may have been the
+         last *)
+      if deadline_hit dl then begin
         bump tel.tel_timeouts;
         classify ~golden m Machine.Out_of_fuel
       end
+      else if budget <= 0 then classify ~golden m Machine.Out_of_fuel
       else if
         ir >= inert_at
         && ir mod interval = 0
@@ -422,13 +408,13 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
         tr.tr_outcome
       end
       else begin
-        let next_ck =
-          let c = ((ir / interval) + 1) * interval in
-          if c >= inert_at then c
-          else (inert_at + interval - 1) / interval * interval
+        (* the next checkpoint past [ir] at or after [inert_at] *)
+        let first = max (ir + 1) inert_at in
+        let step =
+          if first - ir >= budget then budget
+          else min budget (((first + interval - 1) / interval * interval) - ir)
         in
-        let step = min budget (next_ck - ir) in
-        match Machine.run m ~fuel:step with
+        match run_until ?deadline:dl m ~fuel:step with
         | Machine.Out_of_fuel -> go (budget - step)
         | stop -> classify ~golden m stop
       end
@@ -452,56 +438,37 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
     run_from_reset ?config ?deadline:(deadline ()) ~on_timeout ~fuel program
       ~golden fault
   in
-  let run_faulty ~slot ~budget ~inert_at ~orig fault =
-    (* The convergence guard only applies to transients: stuck-at
-       faults are never inert, and a permanent code/data flip persists
-       in the digested memory image, so neither can ever reconverge. *)
+  (* One mutant from [snap], a snapshot of the golden run at instant
+     [from]. *)
+  let run_faulty ~slot (snap, from) fault =
     let dl = deadline () in
-    let guarded budget =
-      match (trace, fault.Fault.kind) with
-      | Some tr, Fault.Transient _ -> run_guarded tr ~budget ~inert_at ~dl
-      | _ -> classify ~golden m (run_deadline m ~dl ~fuel:budget)
+    let suffix ~budget ~inert_at =
+      match trace with
+      | Some tr -> run_guarded tr ~budget ~inert_at ~dl
+      | None -> classify ~golden m (run_deadline m ~dl ~fuel:budget)
     in
+    Machine.restore m snap;
+    if from > 0 then bump tel.tel_forks;
     let i0 = st.Arch_state.instret in
     let ts =
       match tel.tel_sink with
       | Some s -> Obs.Trace_events.now_us s
       | None -> 0.0
     in
-    (* the machine's hooks must come back clean even when the run
-       raises: a leaked injector hook would corrupt every later mutant
-       in the chunk *)
-    let with_armed f run =
-      let armed = Injector.arm m f in
-      Fun.protect ~finally:(fun () -> Injector.disarm m armed) run
-    in
-    let compute () =
-      match fault.Fault.kind with
-      | Fault.Transient n when n < budget ->
-          (* Keep the injector's counting hook only until the flip
-             lands, then drop it: the suffix — the bulk of the run —
-             executes unhooked on the fast path.  Not fork-only: the
-             split also pins the flip's visibility boundary to the
-             injection instant (see [run_one]), so the rerun engine
-             must segment here too or a flip into the currently-
-             executing translation block would take effect at a
-             different instruction than in the forked engine. *)
-          let r = with_armed fault (fun () -> run_deadline m ~dl ~fuel:n) in
-          (match r with
-          | Machine.Out_of_fuel -> guarded (budget - n)
-          | stop -> classify ~golden m stop)
-      | _ -> with_armed fault (fun () -> guarded budget)
-    in
     (* Per-mutant error isolation: a raising mutant is retried once on
-       the naive path (with the original, unshifted fault), and only if
-       that also raises is it classified [Errored] — either way the
-       campaign keeps going and the mutant is counted. *)
+       the naive path, and only if that also raises is it classified
+       [Errored] — either way the campaign keeps going and the mutant
+       is counted. *)
     let o =
-      match compute () with
+      match
+        run_mutant m ~golden ~fuel ~from
+          ~prefix:(fun k -> run_deadline m ~dl ~fuel:k)
+          ~suffix fault
+      with
       | o -> o
       | exception e ->
           bump tel.tel_retries;
-          (match retry_naive orig with
+          (match retry_naive fault with
           | o -> o
           | exception e2 ->
               ignore e;
@@ -521,72 +488,37 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
     | None -> ());
     finish slot o
   in
-  let reset_snap = Machine.snapshot m in
-  let immediate, deferred =
-    let im = ref [] and de = ref [] in
-    Array.iteri
-      (fun slot (_, f) ->
-        if engine.eng_fork && golden_prefix f > 0 then de := (slot, f) :: !de
-        else im := (slot, f) :: !im)
-      chunk;
-    (List.rev !im, List.rev !de)
-  in
-  List.iter
-    (fun (slot, f) ->
-      if not (cancelled ()) then begin
-        Machine.restore m reset_snap;
-        run_faulty ~slot ~budget:fuel ~inert_at:(inert_after f) ~orig:f f
-      end)
-    immediate;
-  (* Deferred transients, by injection time: fork each off a snapshot
-     of the golden run at [n - 1] and simulate only the suffix. *)
-  let deferred =
-    List.sort
-      (fun (s1, f1) (s2, f2) ->
-        match compare (golden_prefix f1) (golden_prefix f2) with
-        | 0 -> compare s1 s2
-        | c -> c)
-      deferred
-  in
-  let snap = ref reset_snap in
-  let at = ref 0 in
+  (* Mutants by instant.  With [eng_fork] the golden cursor advances
+     through the instants and each mutant forks off its snapshot,
+     simulating only the suffix; without it every mutant runs its
+     prefix from reset. *)
+  let reset = (Machine.snapshot m, 0) in
+  let cursor = ref reset in
   let golden_ended = ref None in
-  List.iter
-    (fun (slot, f) ->
-      match !golden_ended with
-      | _ when cancelled () -> ()
-      | Some o -> finish slot o
-      | None ->
-          let pre = min (golden_prefix f) fuel in
-          let advanced =
-            if pre <= !at then true
-            else begin
-              Machine.restore m !snap;
-              match Machine.run m ~fuel:(pre - !at) with
-              | Machine.Out_of_fuel ->
-                  at := pre;
-                  snap := Machine.snapshot m;
-                  true
-              | stop ->
-                  (* the golden run ends before this (and so before any
-                     later) injection point: every remaining fault
-                     replays the golden run verbatim *)
-                  let o = classify ~golden m stop in
-                  golden_ended := Some o;
-                  finish slot o;
-                  false
-            end
-          in
-          if advanced then begin
-            (* each deferred fault replays from the shared snapshot
-               instead of re-executing the golden prefix *)
-            bump tel.tel_forks;
-            Machine.restore m !snap;
-            run_faulty ~slot ~budget:(fuel - !at)
-              ~inert_at:(inert_after f) ~orig:f
-              (shift_transient !at f)
-          end)
-    deferred;
+  let advance at =
+    let snap, c = !cursor in
+    if at > c && !golden_ended = None then begin
+      Machine.restore m snap;
+      match Machine.run m ~fuel:(at - c) with
+      | Machine.Out_of_fuel -> cursor := (Machine.snapshot m, at)
+      | stop ->
+          (* the golden run ends before this (and so before any later)
+             instant: every remaining fault replays it verbatim *)
+          golden_ended := Some (classify ~golden m stop)
+    end;
+    !golden_ended
+  in
+  Array.to_list
+    (Array.mapi (fun slot (_, f) -> (min (Injector.instant f) fuel, slot, f))
+       chunk)
+  |> List.sort (fun (a, s, _) (b, t, _) -> compare (a, s) (b, t))
+  |> List.iter (fun (at, slot, f) ->
+         if not (cancelled ()) then
+           if not engine.eng_fork then run_faulty ~slot reset f
+           else
+             match advance at with
+             | Some o -> finish slot o
+             | None -> run_faulty ~slot !cursor f);
   out
 
 let run_task ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled ~on_result
@@ -758,9 +690,9 @@ type triage_record = {
   tg_tail : string list;
 }
 
-(* Lockstep burst length.  Bursts never cross a transient's injection
-   instant, so the flip always lands exactly at a burst boundary — the
-   same segmentation contract as [run_one]. *)
+(* Lockstep burst length.  Bursts never cross the fault's instant, so
+   the flip lands between two bursts — the same segmentation as every
+   other runner. *)
 let triage_burst = 256
 
 let render_record rc =
@@ -810,10 +742,10 @@ let mem_differs g m =
    is then replayed from its pre-burst snapshots up to that record so
    the register/memory/mip diffs are taken at the divergence instant
    (the snapshots carry recorder marks, so the replayed tails line up).
-   The one burst that cannot be replayed is a transient's flip burst —
-   the injector's counting hook does not rewind with a snapshot — but
-   there the only possible mismatch is the burst's final record, whose
-   post-state is exactly the end-of-burst state already in hand. *)
+   Bursts stop at the fault's instant and the flip lands between two
+   of them, before the next pre-burst snapshot, so every burst
+   replays; a stuck-at pin re-asserts the same bit whenever it
+   runs. *)
 let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
   let capacity = max 1024 (2 * tail) in
   let g = run_machine ?config program in
@@ -822,20 +754,11 @@ let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
   let rm = Obs.Flight_recorder.create ~capacity () in
   Machine.set_recorder g (Some rg);
   Machine.set_recorder m (Some rm);
-  let inject_at =
-    match fault.Fault.kind with
-    | Fault.Transient n -> min n fuel
-    | Fault.Permanent -> 0
-  in
-  let armed = ref (Some (Injector.arm m fault)) in
-  let disarm () =
-    match !armed with
-    | Some a ->
-        Injector.disarm m a;
-        armed := None
-    | None -> ()
-  in
-  Fun.protect ~finally:disarm (fun () ->
+  let at = min (Injector.instant fault) fuel in
+  let injected = ref false and pin = ref None in
+  Fun.protect
+    ~finally:(fun () -> Option.iter (Injector.unpin m) !pin)
+    (fun () ->
       let recs_since r q0 =
         List.filter
           (fun rc -> rc.Obs.Flight_recorder.r_seq >= q0)
@@ -872,11 +795,14 @@ let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
       while
         !result = None && !budget > 0 && !gstop = None && !mstop = None
       do
-        let ir0 = Machine.instret m in
+        let pos = fuel - !budget in
+        if (not !injected) && pos = at then begin
+          injected := true;
+          pin := Injector.inject m fault
+        end;
         let step =
           let s = min triage_burst !budget in
-          if inject_at > ir0 && inject_at - ir0 < s then inject_at - ir0
-          else s
+          if not !injected then min s (at - pos) else s
         in
         let sg = Machine.snapshot g and sm = Machine.snapshot m in
         let q0g = Obs.Flight_recorder.seq rg in
@@ -888,9 +814,6 @@ let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
         | Machine.Out_of_fuel -> ()
         | st -> mstop := Some st);
         budget := !budget - step;
-        (match fault.Fault.kind with
-        | Fault.Transient _ when Machine.instret m >= inject_at -> disarm ()
-        | _ -> ());
         let gr = recs_since rg q0g and mr = recs_since rm q0m in
         match first_mismatch 0 gr mr with
         | Some j ->
@@ -930,19 +853,12 @@ let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
               let len = List.length l in
               List.filteri (fun i _ -> i >= len - tail) l
             in
-            let can_replay =
-              match fault.Fault.kind with
-              | Fault.Transient _ -> ir0 >= inject_at
-              | Fault.Permanent -> true
-            in
-            if can_replay then begin
-              Machine.restore g sg;
-              Machine.restore m sm;
-              let k = retires_before + if is_retire then 1 else 0 in
-              if k > 0 then begin
-                ignore (Machine.run g ~fuel:k : Machine.stop_reason);
-                ignore (Machine.run m ~fuel:k : Machine.stop_reason)
-              end
+            Machine.restore g sg;
+            Machine.restore m sm;
+            let k = retires_before + if is_retire then 1 else 0 in
+            if k > 0 then begin
+              ignore (Machine.run g ~fuel:k : Machine.stop_reason);
+              ignore (Machine.run m ~fuel:k : Machine.stop_reason)
             end;
             result := Some (finish ~tail_lines ~diverged:true ~insn ())
         | None -> (

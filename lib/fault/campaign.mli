@@ -70,13 +70,11 @@ val generate_blind :
 val run_one :
   ?config:S4e_cpu.Machine.config -> fuel:int -> S4e_asm.Program.t ->
   golden:signature -> Fault.t -> outcome
-(** Reference semantics: fresh machine, run from reset.  For transient
-    faults the run is segmented at the injection instant, which pins
-    the instant a code/data flip becomes architecturally visible to
-    the next fetch (a flip into the currently-executing translation
-    block takes effect at that boundary, not at the block's end) —
-    the same contract the forked engine below realises, so the two
-    must agree on every workload. *)
+(** Reference semantics: a fresh machine runs from reset to the
+    fault's {!Injector.instant}, {!Injector.inject}s it, and runs the
+    rest of [fuel] unguarded.  The engine below and {!triage} follow
+    the same sequence — reach the instant, inject, run — so they agree
+    with it on every mutant. *)
 
 (** {1 Golden checkpoint trace} *)
 
@@ -110,37 +108,41 @@ val collect_trace :
       never of [jobs]) executed by a {!S4e_par.Par_pool}, each chunk on
       a private machine.  Results are reassembled in input order, so
       any [jobs] value produces bit-identical output.
-    - {b snapshot forking} ([eng_fork]): within a chunk, transient
-      faults are sorted by injection time; the golden prefix executes
-      once per chunk and each mutant is forked off a
-      {!S4e_cpu.Machine.snapshot} at [n - 1] retired instructions,
-      simulating only the suffix.  The injector's counting hook is
-      dropped as soon as the flip lands, so the suffix runs unhooked on
-      the translation-block fast path.  Stuck-at faults capture their
-      value at arm time and still run from reset.
+    - {b snapshot forking} ([eng_fork]): within a chunk, mutants are
+      sorted by {!Injector.instant}; a golden cursor executes the
+      prefix once per chunk, and each mutant is forked off a
+      {!S4e_cpu.Machine.snapshot} of the golden run at its instant,
+      injected there and simulated only for the suffix.  Transients and
+      code/data faults leave no hook behind, so the suffix runs on the
+      translation-block fast path; a stuck-at register fault has
+      instant 0 and runs from reset under its pin.  Without forking
+      each mutant runs its own prefix from reset.
     - {b early-divergence exit} ([eng_checkpoint]): a golden checkpoint
       trace (instret → state digest, every [eng_checkpoint]
       instructions) lets a faulty run stop as soon as its state digest
-      matches the golden trace after the fault is inert — the remainder
-      of the run is then provably identical to the golden run.  The
-      faulty run executes in checkpoint-sized bursts and compares
-      digests at the pauses, so the check costs nothing per
-      instruction.  When the golden run never observes time (no
-      cycle/time CSR reads, no WFI, no interrupt enables, no CLINT
-      access) the comparison ignores the cycle and mtime counters:
-      a reconverged run whose only residue is a skewed cycle counter —
-      the common case after a perturbed branch — still exits early.
+      matches the golden trace at or after the fault's instant — from
+      there on the flip is fully applied, so a match proves the rest of
+      the run identical to the golden run.  That holds for every fault
+      but a pinned stuck-at register, including permanent code and
+      data flips the program overwrites.  The faulty run executes in
+      checkpoint-sized bursts and compares digests at the pauses, so
+      the check costs nothing per instruction.  When the golden run
+      never observes time (no cycle/time CSR reads, no WFI, no
+      interrupt enables, no CLINT access) the comparison ignores the
+      cycle and mtime counters: a reconverged run whose only residue
+      is a skewed cycle counter — the common case after a perturbed
+      branch — still exits early.
 
-    Caveat: forking, burst pauses, and early exit change where
-    interrupts are sampled (translation-block boundaries shift at
-    snapshot/checkpoint seams), so they are exact only for programs
-    whose outcome does not depend on asynchronous-interrupt timing —
-    true of every workload in this repository, and trivially of any
-    program that never enables interrupts.  Use {!rerun_engine} for the
-    literal re-run-from-reset semantics of {!run_one}. *)
+    Caveat: forking, the pause at the instant, burst pauses, and early
+    exit start new [Machine.run] calls, which is where interrupts are
+    sampled, so they are exact only for programs whose outcome does
+    not depend on asynchronous-interrupt timing — true of every
+    workload in this repository, and trivially of any program that
+    never enables interrupts.  Use {!rerun_engine} for the unguarded
+    re-run-from-reset semantics of {!run_one}. *)
 
 type engine = {
-  eng_fork : bool;  (** fork transients off golden snapshots *)
+  eng_fork : bool;  (** fork mutants off golden snapshots at their instant *)
   eng_checkpoint : int;
       (** golden digest interval in retired instructions; [0] disables
           the trace and with it all early exits *)
@@ -259,7 +261,9 @@ val pp_summary : Format.formatter -> summary -> unit
     divergent mutants with a {!S4e_obs.Flight_recorder} armed on both a
     golden and a faulty machine, runs the pair in instret-lockstep
     bursts, and locates the first record where the two recordings
-    disagree — the first architectural delta.  The burst containing the
+    disagree — the first architectural delta.  The fault is injected
+    between two bursts at its {!Injector.instant}, as in {!run_one}.
+    The burst containing the
     divergence is replayed from its pre-burst snapshots up to that
     record, so the reported register / memory / pending-interrupt diffs
     are taken {e at} the divergence instant, not at the end of the run.

@@ -2,7 +2,7 @@ module Bits = S4e_bits.Bits
 module Machine = S4e_cpu.Machine
 module Hooks = S4e_cpu.Hooks
 
-type armed = { hook : Hooks.id option }
+type pin = Hooks.id
 
 let flip_code m addr bit =
   let ram = S4e_mem.Bus.ram m.Machine.bus in
@@ -17,19 +17,14 @@ let flip_code m addr bit =
      cover, so flush rather than rely on that implementation detail. *)
   S4e_mem.Bus.tlb_flush m.Machine.bus
 
+(* Like a store, a data flip kills the translations of the word it
+   lands in: data faults may hit a word the program also executes. *)
 let flip_data m addr bit =
   let ram = S4e_mem.Bus.ram m.Machine.bus in
   let b = S4e_mem.Sparse_mem.read8 ram addr in
   S4e_mem.Sparse_mem.write8 ram addr (b lxor (1 lsl (bit land 7)));
+  S4e_cpu.Tb_cache.notify_store m.Machine.tb addr;
   S4e_mem.Bus.tlb_flush m.Machine.bus
-
-let flip_gpr st r bit =
-  let v = S4e_cpu.Arch_state.get_reg st r in
-  S4e_cpu.Arch_state.set_reg st r (Bits.flip_bit bit v)
-
-let flip_fpr st r bit =
-  let v = S4e_cpu.Arch_state.get_freg st r in
-  S4e_cpu.Arch_state.set_freg st r (Bits.flip_bit bit v)
 
 (* Reject malformed faults up front: register accessors use unchecked
    array indexing on the hot path, so an out-of-range register from a
@@ -39,7 +34,7 @@ let flip_fpr st r bit =
 let validate (f : Fault.t) =
   let bad what =
     invalid_arg
-      (Printf.sprintf "Injector.arm: %s out of range in %s" what
+      (Printf.sprintf "Injector.inject: %s out of range in %s" what
          (Fault.describe f))
   in
   (match f.Fault.loc with
@@ -53,66 +48,40 @@ let validate (f : Fault.t) =
   | Fault.Transient n when n <= 0 -> bad "transient time"
   | _ -> ()
 
-let arm (m : Machine.t) (f : Fault.t) =
+let instant (f : Fault.t) =
+  match (f.Fault.kind, f.Fault.loc) with
+  | Fault.Permanent, _ -> 0
+  | Fault.Transient n, Fault.Code _ -> max 0 n
+  | Fault.Transient n, (Fault.Gpr _ | Fault.Fpr _ | Fault.Data _) ->
+      max 0 (n - 1)
+
+let inject (m : Machine.t) (f : Fault.t) =
   validate f;
   let st = m.Machine.state in
-  match (f.Fault.loc, f.Fault.kind) with
-  | Fault.Code (addr, bit), Fault.Permanent ->
+  (* A transient register fault flips the bit once; a stuck-at one
+     holds it at the flipped value — set now and re-asserted before
+     every instruction by the pin. *)
+  let reg get set r bit =
+    match f.Fault.kind with
+    | Fault.Transient _ ->
+        set st r (Bits.flip_bit bit (get st r));
+        None
+    | Fault.Permanent ->
+        let stuck = Bits.bit bit (get st r) = 0 in
+        let hold () = set st r (Bits.set_bit bit stuck (get st r)) in
+        hold ();
+        Some (Hooks.on_insn m.Machine.hooks (fun _ _ -> hold ()))
+  in
+  match f.Fault.loc with
+  | Fault.Code (addr, bit) ->
       flip_code m addr bit;
-      { hook = None }
-  | Fault.Code (addr, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_code m addr bit)
-      in
-      { hook = Some id }
-  | Fault.Data (addr, bit), Fault.Permanent ->
+      None
+  | Fault.Data (addr, bit) ->
       flip_data m addr bit;
-      { hook = None }
-  | Fault.Data (addr, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_data m addr bit)
-      in
-      { hook = Some id }
-  | Fault.Gpr (r, bit), Fault.Permanent ->
-      let stuck = 1 - Bits.bit bit (S4e_cpu.Arch_state.get_reg st r) in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            S4e_cpu.Arch_state.set_reg st r
-              (Bits.set_bit bit (stuck = 1) (S4e_cpu.Arch_state.get_reg st r)))
-      in
-      { hook = Some id }
-  | Fault.Gpr (r, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_gpr st r bit)
-      in
-      { hook = Some id }
-  | Fault.Fpr (r, bit), Fault.Permanent ->
-      let stuck = 1 - Bits.bit bit (S4e_cpu.Arch_state.get_freg st r) in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            S4e_cpu.Arch_state.set_freg st r
-              (Bits.set_bit bit (stuck = 1) (S4e_cpu.Arch_state.get_freg st r)))
-      in
-      { hook = Some id }
-  | Fault.Fpr (r, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_fpr st r bit)
-      in
-      { hook = Some id }
+      None
+  | Fault.Gpr (r, bit) ->
+      reg S4e_cpu.Arch_state.get_reg S4e_cpu.Arch_state.set_reg r bit
+  | Fault.Fpr (r, bit) ->
+      reg S4e_cpu.Arch_state.get_freg S4e_cpu.Arch_state.set_freg r bit
 
-let disarm (m : Machine.t) armed =
-  match armed.hook with
-  | Some id -> Hooks.unregister m.Machine.hooks id
-  | None -> ()
+let unpin (m : Machine.t) pin = Hooks.unregister m.Machine.hooks pin

@@ -116,6 +116,25 @@ let sorted tbl =
   Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
   |> List.sort (fun a b -> compare a.r_index b.r_index)
 
+(* A journal's lines, header first: a malformed line is an error. *)
+let parse_lines = function
+  | [] -> Error "journal: no header"
+  | hd :: rest ->
+      let* header = parse_header hd in
+      let* records =
+        List.fold_left
+          (fun acc line ->
+            let* acc = acc in
+            let* r = parse_record line in
+            Ok (r :: acc))
+          (Ok []) rest
+      in
+      (* a record may legitimately appear twice (a resume that re-ran a
+         mutant whose record missed its fsync batch): last write wins *)
+      let tbl = Hashtbl.create 64 in
+      List.iter (fun r -> Hashtbl.replace tbl r.r_index r) (List.rev records);
+      Ok (header, sorted tbl)
+
 (* [good_len] is the byte offset just past the last newline-terminated
    line: a crash between a write and its flush can leave a torn final
    fragment, which resume must drop (and overwrite) rather than choke
@@ -137,23 +156,10 @@ let read_ex path =
     String.split_on_char '\n' (String.sub content 0 good_len)
     |> List.filter (fun l -> l <> "")
   in
-  match lines with
-  | [] -> Error ("journal: no header in " ^ path)
-  | hd :: rest ->
-      let* header = parse_header hd in
-      let* records =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* r = parse_record line in
-            Ok (r :: acc))
-          (Ok []) rest
-      in
-      (* a record may legitimately appear twice (a resume that re-ran a
-         mutant whose record missed its fsync batch): last write wins *)
-      let tbl = Hashtbl.create 64 in
-      List.iter (fun r -> Hashtbl.replace tbl r.r_index r) (List.rev records);
-      Ok (header, sorted tbl, good_len)
+  if lines = [] then Error ("journal: no header in " ^ path)
+  else
+    let* header, records = parse_lines lines in
+    Ok (header, records, good_len)
 
 let read path =
   let* h, rs, _ = read_ex path in
@@ -226,27 +232,32 @@ let create ?sink ~path header =
     Ok (writer_of_oc ?sink oc)
   with Sys_error e -> Error e
 
-let header_eq a b =
-  a.j_seed = b.j_seed && a.j_total = b.j_total && a.j_shard = b.j_shard
-  && a.j_program = b.j_program
-
-let append_to ?sink ~path header =
-  let* h, records, good_len = read_ex path in
-  if not (header_eq h header) then
+(* A resumed journal must have been written by this very campaign. *)
+let check_header ~what h header =
+  if h = header then Ok ()
+  else
     Error
       (Printf.sprintf
          "journal: %s was written by a different campaign (seed/total/shard/\
           program mismatch)"
-         path)
-  else
-    try
-      (* reopen truncated to the last good line so a torn tail from the
-         interrupted run is overwritten, not appended after *)
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-      Unix.ftruncate fd good_len;
-      ignore (Unix.lseek fd good_len Unix.SEEK_SET : int);
-      Ok (writer_of_oc ?sink (Unix.out_channel_of_descr fd), records)
-    with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+         what)
+
+let append_to ?sink ~path header =
+  let* h, records, good_len = read_ex path in
+  let* () = check_header ~what:path h header in
+  try
+    (* reopen truncated to the last good line so a torn tail from the
+       interrupted run is overwritten, not appended after *)
+    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+    Unix.ftruncate fd good_len;
+    ignore (Unix.lseek fd good_len Unix.SEEK_SET : int);
+    Ok (writer_of_oc ?sink (Unix.out_channel_of_descr fd), records)
+  with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
+let of_lines header lines =
+  let* h, records = parse_lines lines in
+  let* () = check_header ~what:"the resume payload" h header in
+  Ok records
 
 (* ---------------- merging shards ---------------- *)
 

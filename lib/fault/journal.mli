@@ -85,6 +85,13 @@ val append_to :
     last {e complete} line — a torn final line from the interrupted run
     is overwritten. *)
 
+val of_lines : header -> string list -> (record list, string) result
+(** The records of a journal held in memory as its lines, header first —
+    a fleet grant's resume payload — checked like {!append_to}: the
+    header must match [header] exactly, every line must parse, and the
+    records come back deduplicated by index and sorted.  Nothing is
+    opened for writing. *)
+
 val write : writer -> record -> unit
 (** Appends one record.  Thread-safe; fsyncs every 64 records (each
     flush wrapped in a [journal-flush] trace span when [sink] is

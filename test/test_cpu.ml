@@ -1037,12 +1037,11 @@ buf:
      keeps reading, so a stale read-view entry would alter the xor
      stream — then run to completion *)
   let buf = List.assoc "buf" p.S4e_asm.Program.symbols in
-  let armed =
-    S4e_fault.Injector.arm m
-      { S4e_fault.Fault.loc = S4e_fault.Fault.Data (buf + 7, 3);
-        kind = S4e_fault.Fault.Permanent }
-  in
-  S4e_fault.Injector.disarm m armed;
+  ignore
+    (S4e_fault.Injector.inject m
+       { S4e_fault.Fault.loc = S4e_fault.Fault.Data (buf + 7, 3);
+         kind = S4e_fault.Fault.Permanent }
+      : S4e_fault.Injector.pin option);
   let stop = Machine.run m ~fuel:2_000_000 in
   (stop, violations, diverged, Machine.uart_output m, Machine.state_digest m)
 

@@ -37,7 +37,7 @@ let test_code_flip_changes_memory () =
   let m = Machine.create () in
   S4e_asm.Program.load_machine (program ()) m;
   let before = S4e_mem.Sparse_mem.read32 (S4e_mem.Bus.ram m.Machine.bus) 0x8000_0000 in
-  let _ = Injector.arm m { Fault.loc = Fault.Code (0x8000_0000, 5); kind = Fault.Permanent } in
+  let _ = Injector.inject m { Fault.loc = Fault.Code (0x8000_0000, 5); kind = Fault.Permanent } in
   let after = S4e_mem.Sparse_mem.read32 (S4e_mem.Bus.ram m.Machine.bus) 0x8000_0000 in
   Alcotest.(check int) "exactly one bit flipped" (1 lsl 5) (before lxor after)
 
@@ -366,6 +366,306 @@ warm:
       | _ -> Alcotest.fail (name ^ ": expected one classified mutant"))
     [ ("engine", Campaign.default_engine); ("rerun", Campaign.rerun_engine) ]
 
+(* ---------------- the hook oracle ---------------- *)
+
+(* Programs for the oracle property, one per shape the fault model has
+   to get right: [0] takes a trap per iteration through an ecall
+   handler; [1] overwrites the registers and the data word it faults
+   on every iteration and keeps two FPRs live; [2] is a hot
+   three-instruction loop, so code faults land in a word executed
+   hundreds of times; [3] loads one of its own code words, so that word
+   is both code and data. *)
+let oracle_program shape k =
+  let exit_a0 = {|
+  andi a0, s0, 0xff
+  li   t1, 0x00100000
+  sw   a0, 0(t1)
+  ebreak
+|} in
+  let body =
+    match shape with
+    | 0 ->
+        Printf.sprintf {|
+_start:
+  la   t0, handler
+  csrw mtvec, t0
+  li   s0, %d
+  li   s1, %d
+loop:
+  addi a7, s1, 3
+  ecall
+  addi s1, s1, -1
+  bnez s1, loop
+  j    done
+handler:
+  csrr t2, mepc
+  addi t2, t2, 4
+  csrw mepc, t2
+  add  s0, s0, a7
+  xor  s0, s0, t2
+  mret
+done:
+|} k (8 + (k mod 16))
+    | 1 ->
+        Printf.sprintf {|
+_start:
+  la   s3, buf
+  li   s0, %d
+  li   s1, %d
+loop:
+  sw   s0, 0(s3)
+  lw   t3, 0(s3)
+  add  s0, s0, t3
+  xori s0, s0, 0x55
+  li   t0, 3
+  add  s0, s0, t0
+  fcvt.s.w ft0, s1
+  fadd.s ft1, ft0, ft0
+  fcvt.w.s t4, ft1
+  add  s0, s0, t4
+  addi s1, s1, -1
+  bnez s1, loop
+  j    done
+  .data
+buf:
+  .word 0
+  .text
+done:
+|} k (6 + (k mod 12))
+    | 2 ->
+        Printf.sprintf {|
+_start:
+  li   s0, %d
+  li   s1, %d
+hot:
+  addi s0, s0, 7
+  addi s1, s1, -1
+  bnez s1, hot
+|} k (200 + (k mod 100))
+    | _ ->
+        Printf.sprintf {|
+_start:
+  li   s0, %d
+  li   s1, %d
+  la   s3, _start
+loop:
+  lw   t3, 0(s3)
+  add  s0, s0, t3
+  addi s1, s1, -1
+  bnez s1, loop
+|} k (5 + (k mod 10))
+  in
+  S4e_asm.Assembler.assemble_exn (body ^ exit_a0)
+
+(* Every runner — [run_one], the default engine and the rerun engine —
+   classifies every mutant as the hook oracle does, on every engine
+   config, for all four locations and both kinds.  Besides a
+   coverage-guided list, every case flips the word of instruction n
+   itself at instant n.  Left out: the one corner where the models
+   differ, a word both executed and accessed as data that instruction n
+   uses in the other role than the fault's (see the unit test below). *)
+let oracle_agreement =
+  prop ~count:12 "runners equal the hook oracle"
+    QCheck.(pair (int_bound 3) (int_bound 10_000))
+    (fun (shape, k) ->
+      let p = oracle_program shape k in
+      List.for_all
+        (fun (e : S4e_torture.Engines.t) ->
+          let config = e.S4e_torture.Engines.config in
+          let golden, cov = Campaign.golden ~config ~fuel:100_000 p in
+          let fuel = (3 * golden.Campaign.sig_instret) + 1_000 in
+          let instret = golden.Campaign.sig_instret in
+          let rng = Random.State.make [| k |] in
+          let own_word _ =
+            let n = 1 + Random.State.int rng instret in
+            { Fault.loc =
+                Fault.Code
+                  (Hook_injector.pc_at ~config p n, Random.State.int rng 32);
+              kind = Fault.Transient n }
+          in
+          let faults =
+            Campaign.generate ~seed:k ~n:32
+              ~targets:[ `Gpr; `Fpr; `Code; `Data ]
+              ~kinds:[ `Permanent; `Transient ] ~coverage:cov
+              ~golden_instret:instret
+            @ List.init 8 own_word
+            |> List.filter (fun f ->
+                   not (Hook_injector.instant_corner ~config p f))
+          in
+          let oracle =
+            List.map
+              (fun f -> (f, Hook_injector.run_one ~config ~fuel p ~golden f))
+              faults
+          in
+          let one =
+            List.map
+              (fun f -> (f, Campaign.run_one ~config ~fuel p ~golden f))
+              faults
+          in
+          let campaign engine =
+            Campaign.run ~config ~engine ~fuel p ~golden faults
+          in
+          let agree name got =
+            got = oracle
+            || QCheck.Test.fail_reportf "%s on %s disagrees with the oracle"
+                 name e.S4e_torture.Engines.name
+          in
+          agree "run_one" one
+          && agree "default engine" (campaign Campaign.default_engine)
+          && agree "rerun engine" (campaign Campaign.rerun_engine))
+        S4e_torture.Engines.all)
+
+(* Every runner classifies [fault] as [want], and so does the oracle
+   unless [oracle] says otherwise. *)
+let check_runners ?oracle p ~golden ~fuel fault want =
+  let name = Campaign.outcome_name in
+  Alcotest.(check string) "hook oracle"
+    (name (Option.value oracle ~default:want))
+    (name (Hook_injector.run_one ~fuel p ~golden fault));
+  Alcotest.(check string) "run_one" (name want)
+    (name (Campaign.run_one ~fuel p ~golden fault));
+  List.iter
+    (fun (label, engine) ->
+      match Campaign.run ~engine ~fuel p ~golden [ fault ] with
+      | [ (_, o) ] -> Alcotest.(check string) label (name want) (name o)
+      | _ -> Alcotest.fail (label ^ ": expected one classified mutant"))
+    [ ("default engine", Campaign.default_engine);
+      ("rerun engine", Campaign.rerun_engine) ]
+
+let test_code_transient_own_instruction () =
+  (* The flipped word is instruction n itself: it executes as decoded,
+     and only later fetches see the flip.  The addi at 0x80000008 runs
+     at instret 3, 6, 9 and 12; bit 21 turns its +1 into +3. *)
+  let p =
+    S4e_asm.Assembler.assemble_exn {|
+_start:
+  li   a0, 0
+  li   t2, 4
+loop:
+  addi a0, a0, 1
+  addi t2, t2, -1
+  bnez t2, loop
+  li   t1, 0x00100000
+  sw   a0, 0(t1)
+  ebreak
+|}
+  in
+  let golden, _ = Campaign.golden ~fuel:1_000 p in
+  Alcotest.(check (option int)) "golden exit" (Some 4) golden.Campaign.sig_exit;
+  let at n = { Fault.loc = Fault.Code (0x80000008, 21); kind = Fault.Transient n } in
+  (* the last execution is instruction 12: nothing fetches the flip *)
+  check_runners p ~golden ~fuel:1_000 (at 12) Campaign.Masked;
+  (* flipped at the second execution: the last two see +3 *)
+  check_runners p ~golden ~fuel:1_000 (at 6) Campaign.Sdc;
+  Alcotest.(check int) "instant is n" 12 (Injector.instant (at 12))
+
+let test_code_and_data_word_corner () =
+  (* The word at _start (auipc, low byte 0x97) runs once and is then
+     read as data.  When instruction n uses the flipped word in the
+     other role than the fault's, the flip at the instant and the
+     hook's flip before instruction n differ: a code transient's flip
+     lands after instruction n loads or stores the word, and a data
+     transient's flip lands before instruction n is fetched from it. *)
+  let exit_with_low_byte = {|
+  andi a0, a0, 0xff
+  li   t1, 0x00100000
+  sw   a0, 0(t1)
+  ebreak
+|} in
+  let load =
+    S4e_asm.Assembler.assemble_exn ({|
+_start:
+  la   t0, _start
+  lw   a0, 0(t0)
+|} ^ exit_with_low_byte)
+  in
+  let store =
+    S4e_asm.Assembler.assemble_exn ({|
+_start:
+  la   t0, _start
+  li   t2, 0x12345678
+  sw   t2, 0(t0)
+  lw   a0, 0(t0)
+|} ^ exit_with_low_byte)
+  in
+  let fault loc n = { Fault.loc; kind = Fault.Transient n } in
+  let code = fault (Fault.Code (0x80000000, 1)) in
+  let data = fault (Fault.Data (0x80000000, 1)) in
+  let g_load, _ = Campaign.golden ~fuel:1_000 load in
+  let g_store, _ = Campaign.golden ~fuel:1_000 store in
+  List.iter
+    (fun (what, p, f) ->
+      Alcotest.(check bool) what true (Hook_injector.instant_corner p f))
+    [ ("instruction 3 loads the word", load, code 3);
+      ("instruction 5 stores the word", store, code 5);
+      ("instruction 1 is fetched from the word", load, data 1) ];
+  Alcotest.(check bool) "instruction 2 is not" false
+    (Hook_injector.instant_corner load (code 2));
+  (* the load reads the word before the flip; the hook's flip came first *)
+  check_runners load ~golden:g_load ~fuel:1_000 (code 3) Campaign.Masked
+    ~oracle:Campaign.Sdc;
+  (* the flip lands on the stored word; the hook's flip was overwritten *)
+  check_runners store ~golden:g_store ~fuel:1_000 (code 5) Campaign.Sdc
+    ~oracle:Campaign.Masked;
+  (* instruction 1 is fetched flipped (an illegal opcode); under the
+     hook it ran as decoded and only the load saw the flip *)
+  check_runners load ~golden:g_load ~fuel:1_000 (data 1) Campaign.Crashed
+    ~oracle:Campaign.Sdc
+
+let test_permanent_code_data_reconverge () =
+  (* A permanent data flip and a permanent code flip that the program
+     overwrites before reading: once the store lands the state equals
+     the golden run's, so the guard exits early with the rerun
+     engine's outcome. *)
+  let p =
+    S4e_asm.Assembler.assemble_exn {|
+_start:
+  la   s3, buf
+  li   s0, 7
+  sw   s0, 0(s3)
+  la   t0, patch
+  li   t2, 0x00150513
+  sw   t2, 0(t0)
+  li   s1, 700
+loop:
+  lw   t3, 0(s3)
+  add  a1, a1, t3
+patch:
+  nop
+  addi s1, s1, -1
+  bnez s1, loop
+  add  a0, a0, a1
+  andi a0, a0, 0xff
+  li   t1, 0x00100000
+  sw   a0, 0(t1)
+  ebreak
+  .data
+buf:
+  .word 0
+|}
+  in
+  let fuel = 100_000 in
+  let golden, _ = Campaign.golden ~fuel p in
+  let sym s = Option.get (S4e_asm.Program.symbol p s) in
+  List.iter
+    (fun (what, loc) ->
+      let fault = { Fault.loc; kind = Fault.Permanent } in
+      let run engine =
+        let reg = S4e_obs.Metrics.create () in
+        match Campaign.run ~engine ~metrics:reg ~fuel p ~golden [ fault ] with
+        | [ (_, o) ] ->
+            ( Campaign.outcome_name o,
+              S4e_obs.Metrics.value
+                (S4e_obs.Metrics.counter reg "campaign.early_exits") )
+        | _ -> Alcotest.fail "expected one classified mutant"
+      in
+      let o_default, early = run Campaign.default_engine in
+      let o_rerun, _ = run Campaign.rerun_engine in
+      Alcotest.(check string) (what ^ ": default = rerun") o_rerun o_default;
+      Alcotest.(check string) (what ^ ": masked") "masked" o_default;
+      Alcotest.(check int) (what ^ ": early exit") 1 early)
+    [ ("data", Fault.Data (sym "buf", 3)); ("code", Fault.Code (sym "patch", 9)) ]
+
 (* ---------------- hardening: errors, journals, shards ---------------- *)
 
 (* The golden checkpoint trace is read from inside an insn hook in the
@@ -580,6 +880,58 @@ let test_resume_rejects_other_campaign () =
       match Flows.fault_campaign ~resume:path (flow_cfg ~seed:4 ~n:10) p with
       | Ok _ -> Alcotest.fail "resume with a different seed must be rejected"
       | Error _ -> ())
+
+let test_resume_from_lines () =
+  (* A journal held in memory as its lines — a fleet grant's payload —
+     resumes like the file, passes the same checks, and opens no
+     writer. *)
+  let p = engine_program () in
+  let cfg = flow_cfg ~seed:5 ~n:20 in
+  let ok = function Ok r -> r | Error e -> Alcotest.fail e in
+  with_tmp (fun path ->
+      let full = ok (Flows.fault_campaign ~journal:path cfg p) in
+      let header, records = ok (Journal.read path) in
+      let h = Journal.header_line header in
+      let first k = List.filteri (fun i _ -> i < k) records in
+      let lines k = List.map Journal.record_line (first k) in
+      let resumed = ok (Flows.fault_campaign ~resume_lines:(h, lines 7) cfg p) in
+      Alcotest.(check int) "resumed records" 7 resumed.Flows.ff_resumed;
+      Alcotest.(check bool) "= uninterrupted run" true
+        (resumed.Flows.ff_complete
+        && resumed.Flows.ff_results = full.Flows.ff_results);
+      let streamed = ref 0 in
+      ignore
+        (ok
+           (Flows.fault_campaign ~resume_lines:(h, lines 7)
+              ~on_journal_line:(fun _ -> incr streamed)
+              cfg p));
+      Alcotest.(check int) "header + fresh records streamed" 14 !streamed;
+      let rejected what r =
+        match r with
+        | Ok _ -> Alcotest.fail (what ^ " must be rejected")
+        | Error _ -> ()
+      in
+      rejected "another campaign's header"
+        (Flows.fault_campaign ~resume_lines:(h, lines 7)
+           (flow_cfg ~seed:6 ~n:20) p);
+      let forged =
+        match first 1 with
+        | [ r ] ->
+            Journal.record_line
+              { r with
+                Journal.r_fault =
+                  { r.Journal.r_fault with
+                    Fault.kind = Fault.Transient 999_999 } }
+        | _ -> Alcotest.fail "expected a record"
+      in
+      rejected "a record of another fault list"
+        (Flows.fault_campaign ~resume_lines:(h, [ forged ]) cfg p);
+      rejected "a malformed line"
+        (Flows.fault_campaign ~resume_lines:(h, [ "{" ]) cfg p);
+      rejected "both forms"
+        (Flows.fault_campaign ~resume:path ~resume_lines:(h, []) cfg p);
+      Alcotest.(check bool) "the journal file is untouched" true
+        (Journal.read path = Ok (header, records)))
 
 let test_shard_merge_equals_full () =
   let p = engine_program () in
@@ -998,7 +1350,14 @@ let () =
           Alcotest.test_case "mid-block code flip visibility" `Quick
             test_midblock_code_flip_visibility;
           Alcotest.test_case "golden trace engine-independent" `Quick
-            test_collect_trace_engine_independent ] );
+            test_collect_trace_engine_independent;
+          oracle_agreement;
+          Alcotest.test_case "code transient on its own instruction" `Quick
+            test_code_transient_own_instruction;
+          Alcotest.test_case "code-and-data word corner" `Quick
+            test_code_and_data_word_corner;
+          Alcotest.test_case "permanent code/data reconverge" `Quick
+            test_permanent_code_data_reconverge ] );
       ( "hardening",
         [ fault_string_roundtrip;
           Alcotest.test_case "malformed fault errored" `Quick
@@ -1011,6 +1370,8 @@ let () =
           resume_differential;
           Alcotest.test_case "resume rejects other campaign" `Quick
             test_resume_rejects_other_campaign;
+          Alcotest.test_case "resume from lines in memory" `Quick
+            test_resume_from_lines;
           Alcotest.test_case "shard merge equals full" `Quick
             test_shard_merge_equals_full;
           Alcotest.test_case "cancel then resume" `Quick

@@ -570,31 +570,24 @@ let run_fleet_simulation ~shards ~seed ~n ~deaths =
     end
     else begin
       let shard = jint "shard" g and count = jint "shards" g in
-      let resume_path =
+      let resume_lines =
         match Json.mem "resume" g with
         | Some (Json.Obj _ as r) ->
-            let path = Filename.temp_file "s4e_fleet_resume" ".jsonl" in
-            let oc = open_out_bin path in
-            output_string oc (jstr "header" r);
-            output_char oc '\n';
-            List.iter
-              (fun l ->
-                output_string oc (Option.get (Json.str l));
-                output_char oc '\n')
-              (Option.get (Json.mem_list "lines" r));
-            close_out oc;
-            Some path
+            Some
+              ( jstr "header" r,
+                List.map
+                  (fun l -> Option.get (Json.str l))
+                  (Option.get (Json.mem_list "lines" r)) )
         | _ -> None
       in
       let produced = ref [] in
       (match
-         Flows.fault_campaign ?resume:resume_path ~shard:(shard, count)
+         Flows.fault_campaign ?resume_lines ~shard:(shard, count)
            ~on_journal_line:(fun l -> produced := l :: !produced)
            cfg p
        with
       | Ok r -> Alcotest.(check bool) "sim shard complete" true r.Flows.ff_complete
       | Error e -> Alcotest.failf "sim shard failed: %s" e);
-      Option.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) resume_path;
       let lines = List.rev !produced in
       let die = !deaths > 0 && !steps mod 2 = 1 in
       let delivered =

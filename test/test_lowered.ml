@@ -350,7 +350,7 @@ let smc_trace_agrees seed =
   check_engines_agree (S4e_asm.Assembler.assemble_exn (smc_hot_loop ~iters ~mask));
   true
 
-(* Fault-injector writes landing in promoted trace code: arm a
+(* Fault-injector writes landing in promoted trace code: inject a
    permanent code flip after the loop is hot (traces promoted and
    running), then finish the run.  The flip goes through
    [Tb_cache.notify_store], so it must kill the overlapping blocks AND
@@ -391,7 +391,7 @@ slot:
     S4e_asm.Program.load_machine p m;
     let r1 = Machine.run m ~fuel:2_000 in
     assert (r1 = Machine.Out_of_fuel);
-    let _armed = S4e_fault.Injector.arm m fault in
+    ignore (S4e_fault.Injector.inject m fault : S4e_fault.Injector.pin option);
     let stop = Machine.run m ~fuel:1_000_000 in
     (outcome_of m stop, Machine.trace_stats m)
   in
