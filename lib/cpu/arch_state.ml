@@ -21,6 +21,10 @@ type t = {
   mutable instret : int;
   mutable time_source : unit -> int;
   mutable reservation : int option;
+  pin_and : word array;
+  pin_or : word array;
+  mutable pinned_x : int;
+  mutable pinned_f : int;
 }
 
 (* Reset value of mstatus: MPP = 11 (machine), everything else clear. *)
@@ -37,10 +41,77 @@ let create ?(pc = 0) ?(hartid = 0) () =
       regs = Array.make 32 0; fregs = Array.make 32 0; pc;
       mstatus = mstatus_reset; mie = 0; mip = 0; mtvec = 0; mscratch = 0;
       mepc = 0; mcause = 0; mtval = 0; fcsr = 0; cycle = 0; instret = 0;
-      time_source = (fun () -> 0); reservation = None }
+      time_source = (fun () -> 0); reservation = None;
+      pin_and = Array.make 64 0xFFFF_FFFF; pin_or = Array.make 64 0;
+      pinned_x = 0; pinned_f = 0 }
   in
   t.time_source <- (fun () -> t.cycle);
   t
+
+(* ---------------- stuck-at pins ----------------
+
+   Slot [r] of [pin_and]/[pin_or] holds GPR [r]'s pins, slot [32 + r]
+   FPR [r]'s: a held value is [(v land pin_and) lor pin_or]. *)
+
+type file = X | F
+
+let slot file r = match file with X -> r | F -> 32 + r
+
+let hold_reg t r =
+  Array.unsafe_set t.regs r
+    (Array.unsafe_get t.regs r land Array.unsafe_get t.pin_and r
+    lor Array.unsafe_get t.pin_or r)
+
+let hold_freg t r =
+  let s = 32 + r in
+  Array.unsafe_set t.fregs r
+    (Array.unsafe_get t.fregs r land Array.unsafe_get t.pin_and s
+    lor Array.unsafe_get t.pin_or s)
+
+let has_pins t = t.pinned_x lor t.pinned_f <> 0
+
+let is_pinned t file r =
+  match file with
+  | X -> t.pinned_x land (1 lsl r) <> 0
+  | F -> t.pinned_f land (1 lsl r) <> 0
+
+let hold_all t =
+  if has_pins t then
+    for r = 0 to 31 do
+      if t.pinned_x land (1 lsl r) <> 0 then hold_reg t r;
+      if t.pinned_f land (1 lsl r) <> 0 then hold_freg t r
+    done
+
+(* Recompute the pinned-register masks from the slots. *)
+let sync_pinned t =
+  let mask base =
+    let m = ref 0 in
+    for r = 0 to 31 do
+      let s = base + r in
+      if t.pin_and.(s) <> 0xFFFF_FFFF || t.pin_or.(s) <> 0 then
+        m := !m lor (1 lsl r)
+    done;
+    !m
+  in
+  t.pinned_x <- mask 0;
+  t.pinned_f <- mask 32
+
+let pin t file r ~bit v =
+  (* x0 is hardwired: a pin there would hold nothing *)
+  if not (file = X && r = 0) then begin
+    let s = slot file r and b = 1 lsl bit in
+    let hold m = if v then m lor b else m land lnot b in
+    t.pin_or.(s) <- hold t.pin_or.(s);
+    t.pin_and.(s) <- hold t.pin_and.(s);
+    sync_pinned t;
+    hold_all t
+  end
+
+let unpin t file r ~bit =
+  let s = slot file r and b = 1 lsl bit in
+  t.pin_or.(s) <- t.pin_or.(s) land lnot b;
+  t.pin_and.(s) <- t.pin_and.(s) lor b;
+  sync_pinned t
 
 let reset t ~pc =
   Array.fill t.regs 0 32 0;
@@ -57,7 +128,8 @@ let reset t ~pc =
   t.fcsr <- 0;
   t.cycle <- 0;
   t.instret <- 0;
-  t.reservation <- None
+  t.reservation <- None;
+  hold_all t
 
 let get_reg t r = if r = 0 then 0 else Array.unsafe_get t.regs r
 
@@ -167,14 +239,17 @@ let csr_write t a v =
 
 let copy t =
   let c =
-    { t with regs = Array.copy t.regs; fregs = Array.copy t.fregs }
+    { t with regs = Array.copy t.regs; fregs = Array.copy t.fregs;
+      pin_and = Array.copy t.pin_and; pin_or = Array.copy t.pin_or }
   in
   c.time_source <- (fun () -> c.cycle);
   c
 
 (* [hartid]/[misa] are structural (set once at machine construction),
    not architectural: a rewind must not re-number the hart it lands
-   on, so like [time_source] they are left untouched. *)
+   on, so like [time_source] they are left untouched.  So are the pins,
+   which belong to the hart, not to the instant: the restored registers
+   are held to them. *)
 let restore dst src =
   Array.blit src.regs 0 dst.regs 0 32;
   Array.blit src.fregs 0 dst.fregs 0 32;
@@ -190,4 +265,5 @@ let restore dst src =
   dst.fcsr <- src.fcsr;
   dst.cycle <- src.cycle;
   dst.instret <- src.instret;
-  dst.reservation <- src.reservation
+  dst.reservation <- src.reservation;
+  hold_all dst

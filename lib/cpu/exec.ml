@@ -471,4 +471,6 @@ let execute ?on_mem (st : Arch_state.t) bus ~size instr =
       notify_mem addr 4 v true;
       set rd old;
       st.pc <- next);
+  (* a stuck-at pin acts on the write just made *)
+  Arch_state.hold_all st;
   !taken

@@ -7,6 +7,9 @@
     exceptions, leaving [state.pc] at the faulting instruction so the
     machine can enter the trap.
 
+    The written register is held to the hart's stuck-at pins
+    ({!Arch_state.pin}), like every other register writer.
+
     The return value reports whether a conditional branch was taken
     ([false] for every non-branch); the machine feeds it to the timing
     model.

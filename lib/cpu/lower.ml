@@ -282,6 +282,23 @@ let lower_instr ctx ~pc ~size instr =
           st.pc <- next;
           cn
   in
+  (* Stuck-at pins are part of the translation: only a µop whose
+     destination is pinned re-asserts the pin after its write; every
+     other µop stays plain. *)
+  let exec =
+    match (Instr.destination instr, Instr.fp_destination instr) with
+    | Some rd, _ when Arch_state.is_pinned st Arch_state.X rd ->
+        fun () ->
+          let c = exec () in
+          Arch_state.hold_reg st rd;
+          c
+    | _, Some frd when Arch_state.is_pinned st Arch_state.F frd ->
+        fun () ->
+          let c = exec () in
+          Arch_state.hold_freg st frd;
+          c
+    | _ -> exec
+  in
   { Tb_cache.u_pc = pc; u_size = size;
     u_src_mask = Instr.source_mask instr;
     u_load_dest_mask = Instr.load_dest_mask instr;

@@ -13,7 +13,11 @@
     - the load-use hazard source set is baked into an int bitmask
       ({!S4e_isa.Instr.source_mask});
     - instrumentation (hooks, flight recorder) is compiled in as a
-      per-µop wrapper ({!lower_entry}), so plain µops carry none.
+      per-µop wrapper ({!lower_entry}), so plain µops carry none;
+    - a stuck-at pin ({!Arch_state.pin}) on the destination register
+      is compiled in the same way: only a µop that writes a pinned
+      register re-asserts it after the write.  The machine retranslates
+      when the pins change.
 
     Cycle charges are returned by each µop and batched by the machine;
     µops that can observe time (CSR accesses and device-space bus

@@ -114,6 +114,8 @@ type t = {
       (* translation generation: the cached µops carry the
          instrumentation wrapper ([run_slice] keeps it in step with the
          hooks and recorder) *)
+  mutable instrumented_generations : int;
+      (* switches into an instrumented generation *)
 }
 
 exception Stop of stop_reason
@@ -364,7 +366,8 @@ let create ?(config = default_config) () =
       last_load_mask = 0; pending_ticks; seg_idx; seg_base; fuel_left;
       exit_dirty; lower_ctx = h0.hx_lower; sb = None; harts; cur = 0;
       rr = 0; profiler = None; recorder = None; watchpoints = [||];
-      watch_trace = None; instrumented = false }
+      watch_trace = None; instrumented = false;
+      instrumented_generations = 0 }
   in
   (* The superblock engine only runs where the chained TB engine runs
      (chain-edge heat drives promotion), so don't even install the
@@ -858,8 +861,36 @@ let sync_generation t =
   in
   if want <> t.instrumented then begin
     t.instrumented <- want;
+    if want then t.instrumented_generations <- t.instrumented_generations + 1;
     Array.iter (fun h -> Tb_cache.drop_lowered h.hx_tb) t.harts
   end
+
+(* ---------------- stuck-at pins ---------------- *)
+
+type pin = {
+  pn_hart : int;
+  pn_file : Arch_state.file;
+  pn_reg : int;
+  pn_bit : int;
+}
+
+(* A change of a hart's pins starts a new translation generation on
+   it: its µops and superblock traces compiled the old pin set in.
+   Decoded blocks and chain links stay valid. *)
+let repin h =
+  Tb_cache.drop_lowered h.hx_tb;
+  Option.iter Superblock.drop_traces h.hx_sb
+
+let pin t file r ~bit v =
+  let h = t.harts.(t.cur) in
+  Arch_state.pin h.hx_state file r ~bit v;
+  repin h;
+  { pn_hart = h.hx_id; pn_file = file; pn_reg = r; pn_bit = bit }
+
+let unpin t p =
+  let h = t.harts.(p.pn_hart) in
+  Arch_state.unpin h.hx_state p.pn_file p.pn_reg ~bit:p.pn_bit;
+  repin h
 
 (* Execute at most [fuel] instructions on the CURRENT hart.  This is
    the whole pre-SMP [run] — a single-hart machine calls it directly

@@ -14,7 +14,10 @@
     compiled in: while insn, mem or block hooks or a flight recorder
     are attached, blocks are translated with a per-µop wrapper that
     fires them ([run] drops the cached µops when that changes); plain
-    µops carry none.  {b Single-step} ([use_tb_cache:false]) is the
+    µops carry none.  Stuck-at register pins ({!pin}) are compiled in
+    the same way, into the µops and traces that write a pinned
+    register only, so a pinned run stays on the uninstrumented path.
+    {b Single-step} ([use_tb_cache:false]) is the
     reference interpreter ({!Exec.execute} per instruction, interrupts
     sampled at the same block boundaries), and every configuration is
     observationally identical to it (same {!state_digest} traces,
@@ -171,6 +174,9 @@ type t = {
           instrumentation wrapper.  [run] drops every hart's cached
           µops ({!Tb_cache.drop_lowered}) when hooks or the recorder
           change it. *)
+  mutable instrumented_generations : int;
+      (** how many times [run] has switched into an instrumented
+          generation *)
 }
 
 val create : ?config:config -> unit -> t
@@ -245,7 +251,8 @@ val set_uart_sink : t -> (string -> unit) option -> unit
 val reset : t -> pc:word -> unit
 (** Architectural reset (registers, CSRs, CLINT, PLIC, syscon) of every
     hart; all harts restart at [pc] (SMP guests branch on [mhartid]).
-    Memory, the TB caches, and hooks are preserved. *)
+    Memory, the TB caches, hooks and pins are preserved; the zeroed
+    registers are held to the pins. *)
 
 val run : t -> fuel:int -> stop_reason
 (** Executes at most [fuel] instructions.  Interrupts are sampled at
@@ -266,6 +273,25 @@ val switch_to : t -> int -> unit
 
 val hart_count : t -> int
 
+(** {1 Stuck-at pins} *)
+
+type pin
+
+val pin : t -> Arch_state.file -> S4e_isa.Reg.t -> bit:int -> bool -> pin
+(** [pin t file r ~bit v] holds [bit] of register [r] of the current
+    hart at [v] until {!unpin}: the bit is asserted now, and every
+    later write to the register, on every engine, as well as {!reset}
+    and {!restore}, re-asserts it.  So every instruction reads the
+    register as a hook re-asserting the bit before each instruction
+    would have left it, with no hook.  A pin on [x0] holds nothing.
+    Starts a new translation generation on the hart: its µops and
+    superblock traces are rebuilt, with the re-assertion compiled into
+    the ones that write the register and nowhere else. *)
+
+val unpin : t -> pin -> unit
+(** Releases the pin (the register keeps its value) and starts a new
+    translation generation on its hart. *)
+
 val instret : t -> int
 (** Sum over all harts (the hart's own counter on a 1-hart machine). *)
 
@@ -283,10 +309,11 @@ val load_string : t -> word -> string -> unit
 
     A snapshot captures everything a resumed [run] depends on:
     architectural state, RAM (page copies), UART/CLINT/GPIO/syscon
-    device state, and the microarchitectural hazard window.  Hooks and
-    the TB cache are deliberately excluded: hooks belong to the
-    instrumentation layer, and the TB cache is flushed on restore
-    because restored memory may hold different code.
+    device state, and the microarchitectural hazard window.  Hooks,
+    pins and the TB cache are deliberately excluded: hooks belong to
+    the instrumentation layer, pins to the fault under study, and the
+    TB cache is flushed on restore because restored memory may hold
+    different code.
 
     The fault campaign uses this to fork faulty runs off a golden
     prefix instead of re-executing every mutant from reset. *)
@@ -300,7 +327,8 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** Rewinds the machine to the captured instant and flushes the TB
     cache.  [run] can then resume as if execution had never left the
-    snapshot point. *)
+    snapshot point.  The restored registers are held to the pins active
+    now (not those of the capture). *)
 
 val state_digest : ?include_time:bool -> ?include_instret:bool -> t -> string
 (** Digest of the complete snapshot-visible state (registers, CSRs,

@@ -101,6 +101,8 @@ let on_flush t =
   t.invalidations <- t.invalidations + List.length t.traces;
   t.traces <- []
 
+let drop_traces t = List.iter (invalidate t) t.traces
+
 let create ?(promote_period = 64) ?(min_edge_hits = 16) ?(max_blocks = 16)
     ?(max_instrs = 96) sx tb =
   let t =
@@ -247,6 +249,24 @@ let compile t (path : Tb_cache.entry array) =
   let hazard = sx.sx_timing.Timing.load_use_hazard in
   let get r = Arch_state.get_reg st r in
   let set r v = Arch_state.set_reg st r v in
+  (* Stuck-at pins are compiled in: [held u k] is the continuation [k]
+     of a unit that writes a pinned register, re-asserting the pin
+     first.  Units writing unpinned registers keep [k] as is.  Traces
+     are compiled under the hart's pin set of the moment; the machine
+     drops them when it changes. *)
+  let pinned_dest u =
+    match S4e_isa.Instr.destination u.uin with
+    | Some rd when Arch_state.is_pinned st Arch_state.X rd -> Some rd
+    | _ -> None
+  in
+  let held u k =
+    match pinned_dest u with
+    | Some rd ->
+        fun () ->
+          Arch_state.hold_reg st rd;
+          k ()
+    | None -> k
+  in
   let dead = ref false in
   let nb = Array.length path in
   (* -- flatten the block path into one instruction stream -- *)
@@ -271,7 +291,10 @@ let compile t (path : Tb_cache.entry array) =
   (* -- fusion pass: mark unit i as consuming unit i+1.  Constant
      folds only swallow straight-line seconds (a terminal needs its
      boundary checks); guard fusion swallows a non-final branch
-     terminal, whose boundary the fused closure re-emits. -- *)
+     terminal, whose boundary the fused closure re-emits.  A pair with
+     a pinned destination is never fused: every fusion feeds the first
+     half's computed value to the second half, which must read the
+     held one instead. -- *)
   let paired = Array.make m false in
   let consumed = Array.make m false in
   let straight u = match u.uterm with None -> true | Some _ -> false in
@@ -286,6 +309,8 @@ let compile t (path : Tb_cache.entry array) =
     let fuse =
       (not consumed.(!i))
       && straight a  (* the first of a pair is never a terminal *)
+      && pinned_dest a = None
+      && pinned_dest b = None
       &&
       match (const_of ~pc:a.upc a.uin, dest_of a.uin, b.uin) with
       (* lui/auipc rd, hi ; addi rd2, rd, lo  ->  constant store(s) *)
@@ -479,6 +504,7 @@ let compile t (path : Tb_cache.entry array) =
     end
   (* ---- straight-line single instructions ---- *)
   and build_straight k u next =
+    let next = held u next in
     let retire_here = r_before.(k) in
     match u.uin with
     | Lui (rd, imm20) ->
@@ -711,7 +737,7 @@ let compile t (path : Tb_cache.entry array) =
     match (edge, u.uin) with
     | Uncond _, Jal (rd, _) ->
         let link = Bits.mask32 (u.upc + u.usize) in
-        let cont = build_guard_cont k u in
+        let cont = held u (build_guard_cont k u) in
         fun () ->
           set rd link;
           cont ()
@@ -723,10 +749,10 @@ let compile t (path : Tb_cache.entry array) =
     | Jalr_to expected, Jalr (rd, rs1, imm) ->
         let b = Bits.of_signed imm in
         let link = Bits.mask32 (u.upc + u.usize) in
-        let cont = build_guard_cont k u in
+        let cont = held u (build_guard_cont k u) in
         let retire = r_before.(k) + 1 in
         let add = csync_before.(k) + cost.(k) + stall.(k) in
-        let ex = exit_state ~add ~retire ~llm:0 ~pc:None in
+        let ex = held u (exit_state ~add ~retire ~llm:0 ~pc:None) in
         fun () ->
           let target = Bits.add (get rs1) b land lnot 1 in
           set rd link;
@@ -752,7 +778,8 @@ let compile t (path : Tb_cache.entry array) =
     let cn, ct = Timing.costs sx.sx_timing u.uin in
     let stall_k = stall.(k) in
     let retire_here = r_before.(k) in
-    let done_ = build m in
+    (* the final unit's own write is held before the trace completes *)
+    let done_ = held u (build m) in
     let charge c =
       pending := !pending + c + stall_k
     in

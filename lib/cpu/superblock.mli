@@ -38,7 +38,13 @@
     invalidation hooks ({!Tb_cache.set_invalidate_hooks}) mark the
     trace dead and detach surviving members.  A store issued from
     {e inside} a running trace that kills the trace itself is caught at
-    the next block boundary via the dead flag. *)
+    the next block boundary via the dead flag.
+
+    {b Stuck-at pins.}  A trace is compiled under its hart's pin set
+    ({!Arch_state.pin}): a unit that writes a pinned register
+    re-asserts the pin before the trace goes on, and such a unit is
+    never fused (a fused pair forwards the unheld computed value).  The
+    machine calls {!drop_traces} when the pin set changes. *)
 
 type word = int
 
@@ -107,6 +113,10 @@ val maybe_promote : t -> Tb_cache.entry -> unit
 (** Attempt promotion of an unattached block (no-op on attached ones).
     The dispatcher calls this every {!promote_period}-th execution of a
     block. *)
+
+val drop_traces : t -> unit
+(** Kills every live trace and detaches its blocks, which keep their
+    translations and chain links and may be promoted again. *)
 
 val exec : t -> trace -> unit
 (** Run a trace body.  The caller must have checked [tr_dead], the

@@ -322,6 +322,8 @@ type telemetry = {
   tel_retries : Obs.Metrics.counter option;
   tel_timeouts : Obs.Metrics.counter option;
   tel_insns : Obs.Metrics.histogram option;
+  tel_instrumented : Obs.Metrics.counter option;
+  tel_sb_execs : Obs.Metrics.counter option;
   tel_progress : (unit -> unit) option;
 }
 
@@ -519,6 +521,12 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
              match advance at with
              | Some o -> finish slot o
              | None -> run_faulty ~slot !cursor f);
+  (* which engine the task's mutants ran on *)
+  let add c v = Option.iter (fun c -> Obs.Metrics.add c v) c in
+  add tel.tel_instrumented m.Machine.instrumented_generations;
+  Option.iter
+    (fun s -> add tel.tel_sb_execs s.S4e_cpu.Superblock.sb_execs)
+    (Machine.trace_stats m);
   out
 
 let run_task ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled ~on_result
@@ -598,6 +606,8 @@ let run_indexed ?config ?(engine = default_engine) ?jobs ?metrics ?trace:sink
                 Obs.Metrics.histogram m "campaign.mutant_insns"
                   ~bounds:[| 100; 1_000; 10_000; 100_000; 1_000_000 |])
               metrics;
+          tel_instrumented = c "campaign.instrumented_generations";
+          tel_sb_execs = c "campaign.sb_execs";
           tel_progress =
             Option.map
               (fun f ->
@@ -744,8 +754,8 @@ let mem_differs g m =
    (the snapshots carry recorder marks, so the replayed tails line up).
    Bursts stop at the fault's instant and the flip lands between two
    of them, before the next pre-burst snapshot, so every burst
-   replays; a stuck-at pin re-asserts the same bit whenever it
-   runs. *)
+   replays; a stuck-at pin stays set throughout, and restoring a
+   pre-burst snapshot re-asserts it. *)
 let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
   let capacity = max 1024 (2 * tail) in
   let g = run_machine ?config program in

@@ -241,8 +241,11 @@ val run :
       [Errored]), [campaign.retries] (per-mutant second-chance reruns
       after an exception), [campaign.timeouts] (wall-clock deadline
       hits), the [campaign.mutant_insns] histogram (instructions
-      simulated per mutant), and — when the pool runs — the [pool.*]
-      worker gauges.
+      simulated per mutant), [campaign.instrumented_generations] and
+      [campaign.sb_execs] (the mutant machines' switches into
+      instrumented µops and superblock trace executions, summed; no
+      fault kind needs instrumentation, so the first stays 0), and —
+      when the pool runs — the [pool.*] worker gauges.
     - [trace] receives Chrome trace events: a [golden-trace] span, one
       [chunk] span per worker task (tid = the executing domain, so
       Perfetto shows one lane per domain), and one span per mutant
@@ -267,6 +270,14 @@ val pp_summary : Format.formatter -> summary -> unit
     divergence is replayed from its pre-burst snapshots up to that
     record, so the reported register / memory / pending-interrupt diffs
     are taken {e at} the divergence instant, not at the end of the run.
+
+    A stuck-at register's pin stays active through the replay (a
+    restore re-asserts it) and acts on every write to the register, so
+    a retire record's [rd_val] shows the held value.  The divergence of
+    a stuck-at mutant is therefore the first write to the register
+    whose held value differs from the golden one — often earlier than
+    the first instruction that reads it, which is where a hook
+    re-asserting the bit before each instruction put it.
 
     Triage is a diagnostic pass over an already-classified campaign: it
     re-simulates [2 × sample] runs with recording on, so it costs a few

@@ -1,8 +1,8 @@
 module Bits = S4e_bits.Bits
 module Machine = S4e_cpu.Machine
-module Hooks = S4e_cpu.Hooks
+module Arch_state = S4e_cpu.Arch_state
 
-type pin = Hooks.id
+type pin = Machine.pin
 
 let flip_code m addr bit =
   let ram = S4e_mem.Bus.ram m.Machine.bus in
@@ -59,18 +59,14 @@ let inject (m : Machine.t) (f : Fault.t) =
   validate f;
   let st = m.Machine.state in
   (* A transient register fault flips the bit once; a stuck-at one
-     holds it at the flipped value — set now and re-asserted before
-     every instruction by the pin. *)
-  let reg get set r bit =
+     pins it at the flipped value. *)
+  let reg file get set r bit =
     match f.Fault.kind with
     | Fault.Transient _ ->
         set st r (Bits.flip_bit bit (get st r));
         None
     | Fault.Permanent ->
-        let stuck = Bits.bit bit (get st r) = 0 in
-        let hold () = set st r (Bits.set_bit bit stuck (get st r)) in
-        hold ();
-        Some (Hooks.on_insn m.Machine.hooks (fun _ _ -> hold ()))
+        Some (Machine.pin m file r ~bit (Bits.bit bit (get st r) = 0))
   in
   match f.Fault.loc with
   | Fault.Code (addr, bit) ->
@@ -80,8 +76,8 @@ let inject (m : Machine.t) (f : Fault.t) =
       flip_data m addr bit;
       None
   | Fault.Gpr (r, bit) ->
-      reg S4e_cpu.Arch_state.get_reg S4e_cpu.Arch_state.set_reg r bit
+      reg Arch_state.X Arch_state.get_reg Arch_state.set_reg r bit
   | Fault.Fpr (r, bit) ->
-      reg S4e_cpu.Arch_state.get_freg S4e_cpu.Arch_state.set_freg r bit
+      reg Arch_state.F Arch_state.get_freg Arch_state.set_freg r bit
 
-let unpin (m : Machine.t) pin = Hooks.unregister m.Machine.hooks pin
+let unpin = Machine.unpin

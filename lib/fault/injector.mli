@@ -2,7 +2,9 @@
 
     Every fault is one bit flip applied at an {!instant}; a stuck-at
     register fault also leaves a {!pin} that holds the bit at its
-    flipped value.  A runner brings the machine to the instant (by
+    flipped value.  The injector only edits state and sets pins; it
+    registers no hooks, so a mutant runs on the same translated code
+    as the golden run.  A runner brings the machine to the instant (by
     running the prefix or by restoring a snapshot of the golden run),
     calls {!inject}, and runs the rest; the campaign's runners, its
     engine and triage all follow that one sequence.  Code and data
@@ -35,14 +37,19 @@ type pin
 
 val inject : S4e_cpu.Machine.t -> Fault.t -> pin option
 (** Applies the flip now.  For a stuck-at ([Permanent]) GPR or FPR
-    fault it also registers the pin — an instruction hook that
-    re-asserts the stuck bit before every instruction — and returns it;
-    every other fault is done once injected.
+    fault the flip is a pin ({!S4e_cpu.Machine.pin}) on the current
+    hart, which is returned: the bit is held at the opposite of its
+    current value, re-asserted by every write to the register (the
+    translated code does it in the instructions that write that
+    register only) and by every snapshot restore.  Each instruction
+    therefore reads the value a hook re-asserting the bit before every
+    instruction would give it.  Every other fault is done once
+    injected.
     @raise Invalid_argument on a malformed fault (register or bit out
     of range, negative address, non-positive transient time) — the
     register paths use unchecked indexing, so this is the only line of
     defense for hand-written fault lists. *)
 
 val unpin : S4e_cpu.Machine.t -> pin -> unit
-(** Removes a pin; the flips themselves are not undone (restore a
-    snapshot or discard the machine). *)
+(** Releases a pin; the register keeps its current value (restore a
+    snapshot or discard the machine to undo the flip). *)

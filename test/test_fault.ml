@@ -374,7 +374,40 @@ warm:
    on every iteration and keeps two FPRs live; [2] is a hot
    three-instruction loop, so code faults land in a word executed
    hundreds of times; [3] loads one of its own code words, so that word
-   is both code and data. *)
+   is both code and data; [4] is a loop hot enough to become a
+   superblock trace, built of the pairs a trace fuses (lui+addi,
+   auipc+addi, lui+sw, lui+lw, addi+bnez), whose destinations later
+   code reads. *)
+let fused_loop ~s0 ~iters =
+  Printf.sprintf {|
+_start:
+  li   s0, %d
+  li   s1, %d
+hot:
+  lui  a1, 0x12345
+  addi a1, a1, 0x674
+  add  s0, s0, a1
+  lui  a2, 0x80001
+  sw   s0, 8(a2)
+  lui  a3, 0x80001
+  lw   a4, 8(a3)
+  xor  s0, s0, a4
+  add  s0, s0, a3
+  auipc a5, 0
+  addi a5, a5, 12
+  add  s0, s0, a5
+  addi s1, s1, -1
+  bnez s1, hot
+  srli t0, s0, 16
+  xor  s0, s0, t0
+  srli t0, s0, 8
+  xor  s0, s0, t0
+|} s0 iters
+
+(* The registers [fused_loop] builds with fused pairs. *)
+let fused_dests =
+  [ 9 (* s1 *); 11 (* a1 *); 12 (* a2 *); 13 (* a3 *); 15 (* a5 *) ]
+
 let oracle_program shape k =
   let exit_a0 = {|
   andi a0, s0, 0xff
@@ -442,7 +475,7 @@ hot:
   addi s1, s1, -1
   bnez s1, hot
 |} k (200 + (k mod 100))
-    | _ ->
+    | 3 ->
         Printf.sprintf {|
 _start:
   li   s0, %d
@@ -454,6 +487,8 @@ loop:
   addi s1, s1, -1
   bnez s1, loop
 |} k (5 + (k mod 10))
+    | 4 -> fused_loop ~s0:k ~iters:(150 + (k mod 100))
+    | _ -> invalid_arg "oracle_program"
   in
   S4e_asm.Assembler.assemble_exn (body ^ exit_a0)
 
@@ -461,12 +496,14 @@ loop:
    classifies every mutant as the hook oracle does, on every engine
    config, for all four locations and both kinds.  Besides a
    coverage-guided list, every case flips the word of instruction n
-   itself at instant n.  Left out: the one corner where the models
-   differ, a word both executed and accessed as data that instruction n
-   uses in the other role than the fault's (see the unit test below). *)
+   itself at instant n, and the fused-pair loop also pins bits of
+   every fused pair's destination.  Left out: the one corner where the
+   models differ, a word both executed and accessed as data that
+   instruction n uses in the other role than the fault's (see the unit
+   test below). *)
 let oracle_agreement =
   prop ~count:12 "runners equal the hook oracle"
-    QCheck.(pair (int_bound 3) (int_bound 10_000))
+    QCheck.(pair (int_bound 4) (int_bound 10_000))
     (fun (shape, k) ->
       let p = oracle_program shape k in
       List.for_all
@@ -483,12 +520,22 @@ let oracle_agreement =
                   (Hook_injector.pc_at ~config p n, Random.State.int rng 32);
               kind = Fault.Transient n }
           in
+          let pinned_pairs =
+            if shape <> 4 then []
+            else
+              let stuck r bit =
+                { Fault.loc = Fault.Gpr (r, bit); kind = Fault.Permanent }
+              in
+              List.concat_map
+                (fun r -> [ stuck r 2; stuck r (Random.State.int rng 32) ])
+                fused_dests
+          in
           let faults =
             Campaign.generate ~seed:k ~n:32
               ~targets:[ `Gpr; `Fpr; `Code; `Data ]
               ~kinds:[ `Permanent; `Transient ] ~coverage:cov
               ~golden_instret:instret
-            @ List.init 8 own_word
+            @ List.init 8 own_word @ pinned_pairs
             |> List.filter (fun f ->
                    not (Hook_injector.instant_corner ~config p f))
           in
@@ -611,6 +658,123 @@ _start:
      hook it ran as decoded and only the load saw the flip *)
   check_runners load ~golden:g_load ~fuel:1_000 (data 1) Campaign.Crashed
     ~oracle:Campaign.Sdc
+
+let test_stuck_at_fused_pair () =
+  (* Shaped like a dhrystone mutant (a1 bit 2 stuck at 1): a1 is built
+     by a lui+addi pair in a loop hot enough to become a trace, and the
+     exit code is the last value built.  The addi reads the held lui
+     value, 0x12345004, so a1 becomes 0x1234567c where the golden run
+     has 0x12345674.  A fused pair that adds the immediate to the
+     unheld constant would store the golden value, with bit 2 already
+     set, and call the mutant masked. *)
+  let p =
+    S4e_asm.Assembler.assemble_exn {|
+_start:
+  li   s0, 0
+  li   s1, 300
+hot:
+  lui  a1, 0x12345
+  addi a1, a1, 0x674
+  add  s0, s0, a1
+  addi s1, s1, -1
+  bnez s1, hot
+  andi a0, a1, 0xff
+  li   t1, 0x00100000
+  sw   a0, 0(t1)
+  ebreak
+|}
+  in
+  let fault = { Fault.loc = Fault.Gpr (11, 2); kind = Fault.Permanent } in
+  List.iter
+    (fun (e : S4e_torture.Engines.t) ->
+      let config = e.S4e_torture.Engines.config in
+      let golden, _ = Campaign.golden ~config ~fuel:10_000 p in
+      let name = Campaign.outcome_name in
+      let label what = e.S4e_torture.Engines.name ^ ": " ^ what in
+      Alcotest.(check string) (label "hook oracle") "sdc"
+        (name (Hook_injector.run_one ~config ~fuel:10_000 p ~golden fault));
+      Alcotest.(check string) (label "run_one") "sdc"
+        (name (Campaign.run_one ~config ~fuel:10_000 p ~golden fault));
+      List.iter
+        (fun (what, engine) ->
+          match
+            Campaign.run ~config ~engine ~fuel:10_000 p ~golden [ fault ]
+          with
+          | [ (_, o) ] -> Alcotest.(check string) (label what) "sdc" (name o)
+          | _ -> Alcotest.fail "expected one classified mutant")
+        [ ("default engine", Campaign.default_engine);
+          ("rerun engine", Campaign.rerun_engine) ])
+    S4e_torture.Engines.all;
+  (* the loop does run as a trace with the pair in it *)
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine p m;
+  ignore (Injector.inject m fault : Injector.pin option);
+  ignore (Machine.run m ~fuel:10_000 : Machine.stop_reason);
+  let st = Option.get (Machine.trace_stats m) in
+  Alcotest.(check bool) "traces ran" true (st.S4e_cpu.Superblock.sb_execs > 0)
+
+(* A campaign of stuck-at register faults only, with no hooks and no
+   recorder, runs every mutant on plain translated code: no machine
+   ever switches to instrumented µops, and superblock traces run. *)
+let test_stuck_at_never_instrumented () =
+  let p = oracle_program 4 11 in
+  let faults =
+    List.concat_map
+      (fun r ->
+        [ { Fault.loc = Fault.Gpr (r, 3); kind = Fault.Permanent };
+          { Fault.loc = Fault.Fpr (r, 22); kind = Fault.Permanent } ])
+      (fused_dests @ [ 0; 8 ])
+  in
+  List.iter
+    (fun (e : S4e_torture.Engines.t) ->
+      let config = e.S4e_torture.Engines.config in
+      let golden, _ = Campaign.golden ~config ~fuel:100_000 p in
+      List.iter
+        (fun (what, engine) ->
+          let reg = S4e_obs.Metrics.create () in
+          let results =
+            Campaign.run ~config ~engine ~metrics:reg ~fuel:100_000 p ~golden
+              faults
+          in
+          let get k = S4e_obs.Metrics.value (S4e_obs.Metrics.counter reg k) in
+          let label s = e.S4e_torture.Engines.name ^ ", " ^ what ^ ": " ^ s in
+          Alcotest.(check int) (label "all classified") (List.length faults)
+            (List.length results);
+          Alcotest.(check int) (label "instrumented generations") 0
+            (get "campaign.instrumented_generations");
+          Alcotest.(check bool) (label "superblock traces ran") true
+            (get "campaign.sb_execs" > 0))
+        [ ("default engine", Campaign.default_engine);
+          ("rerun engine", Campaign.rerun_engine) ])
+    (List.filter
+       (fun (e : S4e_torture.Engines.t) ->
+         let c = e.S4e_torture.Engines.config in
+         c.Machine.superblocks && c.Machine.use_tb_cache)
+       S4e_torture.Engines.all)
+
+(* A pin belongs to the machine, not to the instant: reset and restore
+   re-assert it, and unpinning leaves the register to the next
+   write. *)
+let test_pin_survives_restore () =
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine (program ()) m;
+  let st = m.Machine.state in
+  let a0 () = S4e_cpu.Arch_state.get_reg st 10 in
+  let snap = Machine.snapshot m in
+  let pin =
+    Option.get
+      (Injector.inject m
+         { Fault.loc = Fault.Gpr (10, 4); kind = Fault.Permanent })
+  in
+  Alcotest.(check int) "asserted at once" 16 (a0 ());
+  S4e_cpu.Arch_state.set_reg st 10 0;
+  Machine.restore m snap;
+  Alcotest.(check int) "restore re-asserts" 16 (a0 ());
+  Machine.reset m ~pc:0x8000_0000;
+  Alcotest.(check int) "reset re-asserts" 16 (a0 ());
+  Injector.unpin m pin;
+  Machine.restore m snap;
+  Alcotest.(check int) "unpinned" 0 (a0 ())
 
 let test_permanent_code_data_reconverge () =
   (* A permanent data flip and a permanent code flip that the program
@@ -1262,6 +1426,29 @@ let test_triage_locates_divergence () =
   Alcotest.(check bool) "code flip is a memory diff" true
     t1.Campaign.tg_mem_diff
 
+let test_triage_stuck_at () =
+  (* The pin acts on every write: [li a0, 0], the program's first
+     instruction, already retires a0 = 16 where the golden run has 0,
+     so that write is the divergence (a hook re-asserting the bit
+     before each instruction showed the unheld 0 there, and the
+     divergence only at the first read of a0). *)
+  let p = program () in
+  let golden, _ = Campaign.golden ~fuel:10_000 p in
+  let fault = { Fault.loc = Fault.Gpr (10, 4); kind = Fault.Permanent } in
+  let outcome = Campaign.run_one ~fuel:10_000 p ~golden fault in
+  Alcotest.(check string) "sdc" "sdc" (Campaign.outcome_name outcome);
+  match Campaign.triage ~fuel:10_000 p [ (0, fault, outcome) ] with
+  | [ t ] ->
+      Alcotest.(check bool) "diverged" true t.Campaign.tg_diverged;
+      Alcotest.(check int) "at the first write" 1 t.Campaign.tg_instret;
+      Alcotest.(check bool) "a0 held after the replay" true
+        (List.exists
+           (fun d ->
+             d.Campaign.rd_name = "a0" && d.Campaign.rd_golden = 0
+             && d.Campaign.rd_mutant = 16)
+           t.Campaign.tg_reg_diffs)
+  | _ -> Alcotest.fail "expected one triage record"
+
 let test_triage_flow_jsonl_and_top_sites () =
   let p = engine_program () in
   let cfg = flow_cfg ~seed:23 ~n:40 in
@@ -1357,7 +1544,13 @@ let () =
           Alcotest.test_case "code-and-data word corner" `Quick
             test_code_and_data_word_corner;
           Alcotest.test_case "permanent code/data reconverge" `Quick
-            test_permanent_code_data_reconverge ] );
+            test_permanent_code_data_reconverge;
+          Alcotest.test_case "stuck-at on a fused pair" `Quick
+            test_stuck_at_fused_pair;
+          Alcotest.test_case "stuck-at campaign never instrumented" `Quick
+            test_stuck_at_never_instrumented;
+          Alcotest.test_case "pin survives restore" `Quick
+            test_pin_survives_restore ] );
       ( "hardening",
         [ fault_string_roundtrip;
           Alcotest.test_case "malformed fault errored" `Quick
@@ -1384,4 +1577,6 @@ let () =
           Alcotest.test_case "flow + jsonl + top sites" `Quick
             test_triage_flow_jsonl_and_top_sites;
           Alcotest.test_case "deterministic" `Quick
-            test_triage_deterministic ] ) ]
+            test_triage_deterministic;
+          Alcotest.test_case "stuck-at diverges at the write" `Quick
+            test_triage_stuck_at ] ) ]

@@ -405,6 +405,62 @@ slot:
   | None -> QCheck.Test.fail_report "superblocks disabled");
   on = off
 
+(* A stuck-at pin set, then released, while the loop is hot (µops
+   lowered, traces promoted and running): each change must retranslate
+   the hart's code, so every engine agrees with the single-step
+   interpreter, which applies the pin per instruction.  The loop writes
+   the pinned registers through a fused lui+addi pair, a fused
+   addi+bnez pair and plain ALU ops. *)
+let test_pin_mid_trace () =
+  let p =
+    S4e_asm.Assembler.assemble_exn {|
+_start:
+  li   t0, 3000
+  li   s1, 0
+loop:
+  lui  a1, 0x12345
+  addi a1, a1, 0x674
+  add  s1, s1, a1
+  xori s1, s1, 21
+  addi t0, t0, -1
+  bnez t0, loop
+  xor  a0, s1, a1
+  li   t6, 0x00100000
+  sw   a0, 0(t6)
+  ebreak
+|}
+  in
+  List.iter
+    (fun (r, bit) ->
+      let staged e =
+        let m = Engines.create e in
+        S4e_asm.Program.load_machine p m;
+        assert (Machine.run m ~fuel:2_000 = Machine.Out_of_fuel);
+        let pin = Machine.pin m S4e_cpu.Arch_state.X r ~bit true in
+        assert (Machine.run m ~fuel:4_000 = Machine.Out_of_fuel);
+        Machine.unpin m pin;
+        let stop = Machine.run m ~fuel:100_000 in
+        (outcome_of m stop, Machine.trace_stats m)
+      in
+      let reference, _ = staged (List.hd Engines.all) in
+      List.iter
+        (fun (e : Engines.t) ->
+          let o, st = staged e in
+          let label what =
+            Printf.sprintf "x%d bit %d, %s: %s" r bit e.Engines.name what
+          in
+          Alcotest.(check string) (label "stop") reference.o_stop o.o_stop;
+          Alcotest.(check string) (label "digest") reference.o_digest
+            o.o_digest;
+          Alcotest.(check int) (label "cycles") reference.o_cycles o.o_cycles;
+          match st with
+          | Some s when e.Engines.name = "superblocks" ->
+              Alcotest.(check bool) (label "traces ran") true
+                (s.S4e_cpu.Superblock.sb_execs > 0)
+          | _ -> ())
+        Engines.all)
+    [ (11, 2); (9, 0); (5, 31) ]
+
 (* ---------------- random torture programs ---------------- *)
 
 let torture_agrees ?rig ~compress seed =
@@ -736,5 +792,7 @@ let () =
       ("superblocks",
        Alcotest.test_case "smc kills running trace" `Quick
          test_smc_kills_running_trace
+       :: Alcotest.test_case "stuck-at pin mid-trace: engines agree" `Quick
+            test_pin_mid_trace
        :: sb_props);
       ("torture", props) ]
